@@ -13,6 +13,15 @@
 //      over ≥64 tuples beats the degenerate batch-of-1 transport on
 //      simulated epoch time (real compute charged to the SimClock), for
 //      every (shuffle, dataset) combination.
+//
+// Because claim 2 compares measured compute, every cell runs several reps,
+// interleaved across exec batch sizes: rep r of every size runs before
+// rep r+1 of any, and rep r starts at size r mod 4, so every size runs in
+// every position equally often. Epoch times are per-cell medians;
+// speedups are medians over reps of the ratio between two sizes' runs of
+// the same rep. A burst of host load, or a warm-up effect of running
+// first, then lands on all sizes alike instead of on one cell, and a load
+// change between reps cancels out of each ratio.
 
 #include "bench_common.h"
 
@@ -33,53 +42,66 @@ using namespace corgipile::bench;
 
 namespace {
 
-struct CellResult {
+/// One training run of a cell.
+struct RunResult {
   std::vector<double> epoch_losses;
-  double final_loss = 0.0;
-  double sim_epoch_s = 0.0;  ///< simulated seconds per epoch (min over reps)
+  double sim_epoch_s = 0.0;  ///< simulated seconds per epoch
   double wall_s = 0.0;
 };
 
-CellResult RunCell(const Dataset& ds, ShuffleStrategy strategy,
-                   uint32_t exec_batch_tuples, uint32_t epochs, int reps) {
-  CellResult out;
-  out.sim_epoch_s = 1e300;
+RunResult RunOnce(const Dataset& ds, ShuffleStrategy strategy,
+                  uint32_t exec_batch_tuples, uint32_t epochs) {
   WallTimer total;
-  for (int rep = 0; rep < reps; ++rep) {
-    InMemoryBlockSource src(ds.MakeSchema(), ds.train, 512);
-    ShuffleOptions sopts;
-    sopts.buffer_fraction = 0.1;
-    sopts.seed = 42;
-    auto stream = MakeTupleStream(strategy, &src, sopts);
-    if (!stream.ok()) {
-      std::fprintf(stderr, "stream: %s\n",
-                   stream.status().ToString().c_str());
-      std::exit(1);
-    }
-    SimClock clock;
-    LogisticRegression model(ds.spec.dim);
-    TrainerOptions topts;
-    topts.epochs = epochs;
-    topts.lr.initial = 0.01;
-    topts.exec_batch_tuples = exec_batch_tuples;
-    topts.clock = &clock;
-    auto result = Train(&model, stream->get(), topts);
-    if (!result.ok()) {
-      std::fprintf(stderr, "train: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    out.epoch_losses.clear();
-    for (const EpochLog& log : result->epochs) {
-      out.epoch_losses.push_back(log.train_loss);
-    }
-    out.final_loss = out.epoch_losses.back();
-    // min over reps: the cleanest estimate of the cell's intrinsic cost.
-    out.sim_epoch_s = std::min(
-        out.sim_epoch_s, clock.TotalElapsed() / static_cast<double>(epochs));
+  InMemoryBlockSource src(ds.MakeSchema(), ds.train, 512);
+  ShuffleOptions sopts;
+  sopts.buffer_fraction = 0.1;
+  sopts.seed = 42;
+  auto stream = MakeTupleStream(strategy, &src, sopts);
+  if (!stream.ok()) {
+    std::fprintf(stderr, "stream: %s\n", stream.status().ToString().c_str());
+    std::exit(1);
   }
+  SimClock clock;
+  LogisticRegression model(ds.spec.dim);
+  TrainerOptions topts;
+  topts.epochs = epochs;
+  topts.lr.initial = 0.01;
+  topts.exec_batch_tuples = exec_batch_tuples;
+  topts.clock = &clock;
+  auto result = Train(&model, stream->get(), topts);
+  if (!result.ok()) {
+    std::fprintf(stderr, "train: %s\n", result.status().ToString().c_str());
+    std::exit(1);
+  }
+  RunResult out;
+  for (const EpochLog& log : result->epochs) {
+    out.epoch_losses.push_back(log.train_loss);
+  }
+  out.sim_epoch_s = clock.TotalElapsed() / static_cast<double>(epochs);
   out.wall_s = total.ElapsedSeconds();
   return out;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// All reps of one exec batch size.
+struct CellResult {
+  std::vector<double> sim_epoch_s;  ///< one sample per rep
+  double wall_s = 0.0;              ///< summed over reps
+  double final_loss = 0.0;
+  bool identical = true;  ///< every rep matched the per-tuple reference
+};
+
+/// Median over reps of a/b, pairing the two cells' runs of the same rep.
+double MedianPairedRatio(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < a.size(); ++r) ratios.push_back(a[r] / b[r]);
+  return Median(std::move(ratios));
 }
 
 }  // namespace
@@ -87,7 +109,8 @@ CellResult RunCell(const Dataset& ds, ShuffleStrategy strategy,
 int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::FromArgs(argc, argv);
   const uint32_t epochs = env.quick ? 2 : 4;
-  const int reps = env.quick ? 2 : 3;
+  // A multiple of the number of sizes, so the rotation is balanced.
+  const int reps = env.quick ? 8 : 12;
   const std::vector<uint32_t> batch_sizes = {1, 8, 64, 512};
   const std::vector<ShuffleStrategy> strategies = {
       ShuffleStrategy::kCorgiPile, ShuffleStrategy::kNoShuffle};
@@ -106,32 +129,52 @@ int main(int argc, char** argv) {
     for (ShuffleStrategy strategy : strategies) {
       // Per-tuple Next() reference: the golden loss sequence this cell's
       // batched runs must reproduce bit-for-bit.
-      const CellResult ref = RunCell(ds, strategy, 0, epochs, 1);
-      double sim_b1 = 0.0, sim_b64plus = 1e300;
-      for (uint32_t exec : batch_sizes) {
-        const CellResult cell = RunCell(ds, strategy, exec, epochs, reps);
-        const bool identical = cell.epoch_losses == ref.epoch_losses;
-        all_identical = all_identical && identical;
-        if (exec == 1) sim_b1 = cell.sim_epoch_s;
-        if (exec >= 64) sim_b64plus = std::min(sim_b64plus, cell.sim_epoch_s);
+      const RunResult ref = RunOnce(ds, strategy, 0, epochs);
+      std::vector<CellResult> cells(batch_sizes.size());
+      for (int rep = 0; rep < reps; ++rep) {
+        for (size_t k = 0; k < batch_sizes.size(); ++k) {
+          const size_t b = (static_cast<size_t>(rep) + k) % batch_sizes.size();
+          const RunResult run = RunOnce(ds, strategy, batch_sizes[b], epochs);
+          CellResult& cell = cells[b];
+          cell.sim_epoch_s.push_back(run.sim_epoch_s);
+          cell.wall_s += run.wall_s;
+          cell.final_loss = run.epoch_losses.back();
+          cell.identical =
+              cell.identical && run.epoch_losses == ref.epoch_losses;
+        }
+      }
+      // Speedups pair the sizes' runs of one rep, which ran back to back:
+      // a change in host load between reps cancels out of the ratio.
+      const std::vector<double>& b1 = cells[0].sim_epoch_s;
+      std::vector<double> best_b64plus(b1.size(), 1e300);
+      for (size_t b = 0; b < batch_sizes.size(); ++b) {
+        const uint32_t exec = batch_sizes[b];
+        const CellResult& cell = cells[b];
+        all_identical = all_identical && cell.identical;
+        if (exec >= 64) {
+          for (size_t r = 0; r < b1.size(); ++r) {
+            best_b64plus[r] = std::min(best_b64plus[r], cell.sim_epoch_s[r]);
+          }
+        }
         t.NewRow()
             .Add(name)
             .Add(ShuffleStrategyToString(strategy))
             .Add(static_cast<uint64_t>(exec))
             .Add(static_cast<uint64_t>(epochs))
             .Add(cell.final_loss, 12)
-            .Add(cell.sim_epoch_s * 1e3, 3)
-            .Add(exec == 1 ? 1.0 : sim_b1 / cell.sim_epoch_s, 2)
-            .Add(identical ? "yes" : "MISMATCH")
+            .Add(Median(cell.sim_epoch_s) * 1e3, 3)
+            .Add(MedianPairedRatio(b1, cell.sim_epoch_s), 2)
+            .Add(cell.identical ? "yes" : "MISMATCH")
             .Add(cell.wall_s, 3);
       }
-      if (sim_b64plus >= sim_b1) {
+      const double speedup = MedianPairedRatio(b1, best_b64plus);
+      if (speedup <= 1.0) {
         batching_pays = false;
         std::fprintf(stderr,
-                     "VIOLATION: %s/%s batch>=64 epoch %.3f ms not faster "
-                     "than batch=1 %.3f ms\n",
-                     name, ShuffleStrategyToString(strategy),
-                     sim_b64plus * 1e3, sim_b1 * 1e3);
+                     "VIOLATION: %s/%s batch>=64 not faster than batch=1: "
+                     "median paired speedup %.3f (batch=1 median %.3f ms)\n",
+                     name, ShuffleStrategyToString(strategy), speedup,
+                     Median(b1) * 1e3);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "db/block_shuffle_op.h"
@@ -20,6 +21,63 @@
 #include "storage/table_shuffle.h"
 
 namespace corgipile {
+
+namespace {
+
+/// PREDICT BY submissions in flight beyond the one being folded: bounds
+/// the statement's memory to a few submissions of rows and replies.
+constexpr uint64_t kPredictWindow = 8;
+
+/// PREDICT BY's completion mailbox. Engine threads deposit each
+/// submission's reply block under its sequence number, in any order;
+/// Predict takes them back in sequence order.
+class PredictReplies {
+ public:
+  ServeBatchCallback Slot(uint64_t seq) {
+    return [this, seq](ServeBatchReply reply) {
+      const bool failed =
+          std::any_of(reply.replies.begin(), reply.replies.end(),
+                      [](const ServeReply& r) { return !r.status.ok(); });
+      MutexLock lock(mu_);
+      any_failed_ = any_failed_ || failed;
+      done_.emplace(seq, std::move(reply));
+      cv_.NotifyAll();
+    };
+  }
+
+  /// Waits until submission `seq` completes and returns it, or returns
+  /// nullopt once any completed submission holds a failed row. The second
+  /// exit is what keeps a stalled fold live: `seq`'s last micro-batch
+  /// stays open only while every later row is refused (shed), and a
+  /// refused row completes its submission with a failure.
+  std::optional<ServeBatchReply> Await(uint64_t seq) {
+    MutexLock lock(mu_);
+    while (done_.count(seq) == 0 && !any_failed_) cv_.Wait(mu_);
+    if (done_.count(seq) == 0) return std::nullopt;
+    return TakeLocked(seq);
+  }
+
+  /// Submission `seq`, which must have completed (e.g. after Drain()).
+  ServeBatchReply Take(uint64_t seq) {
+    MutexLock lock(mu_);
+    return TakeLocked(seq);
+  }
+
+ private:
+  ServeBatchReply TakeLocked(uint64_t seq) CORGI_REQUIRES(mu_) {
+    auto it = done_.find(seq);
+    ServeBatchReply reply = std::move(it->second);
+    done_.erase(it);
+    return reply;
+  }
+
+  Mutex mu_;
+  CondVar cv_;
+  std::map<uint64_t, ServeBatchReply> done_ CORGI_GUARDED_BY(mu_);
+  bool any_failed_ CORGI_GUARDED_BY(mu_) = false;
+};
+
+}  // namespace
 
 Database::Database(std::string data_dir, DeviceProfile device,
                    uint64_t buffer_pool_bytes)
@@ -219,19 +277,28 @@ Result<ShardedTable*> Database::GetShardedTable(const std::string& name) {
   return entry->table.get();
 }
 
-Status Database::CollectForRead(const ShardedSnapshot& snap,
-                                std::vector<Tuple>* out) {
+Status Database::ScanForRead(const ShardedSnapshot& snap,
+                             const std::function<Status(const Tuple&)>& fn) {
   ShardScanOptions opts;
   if (serialize_scans()) {
     // Baseline A/B mode: the old global-scan-lock behavior, sequential
     // merge under one mutex (see set_serialize_scans).
     MutexLock lock(baseline_scan_mu_);
     snap.ResetReadCursors();
-    return CollectSnapshot(snap, opts, out);
+    return MergeScanSnapshot(snap, opts, fn);
   }
   if (snap.num_shards() > 1) opts.pool = scan_pool();
   snap.ResetReadCursors();
-  return CollectSnapshot(snap, opts, out);
+  return MergeScanSnapshot(snap, opts, fn);
+}
+
+Status Database::CollectForRead(const ShardedSnapshot& snap,
+                                std::vector<Tuple>* out) {
+  out->reserve(out->size() + snap.num_tuples());
+  return ScanForRead(snap, [out](const Tuple& t) {
+    out->push_back(t);
+    return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<Model>> Database::MakeModel(const std::string& kind,
@@ -597,34 +664,76 @@ Result<InDbPredictResult> Database::Predict(const PredictStatement& stmt) {
   // Route the scan through the serving engine: the table is replayed as a
   // generated all-at-once arrival schedule, so the resulting ServeStats
   // are deterministic and batching/queueing are exercised on every
-  // PREDICT BY — not just in bench_serve_sweep.
+  // PREDICT BY — not just in bench_serve_sweep. The snapshot streams into
+  // the engine as multi-row submissions; the table is never materialized.
   ServeOptions opts = serve_options_;
   opts.flush_on_idle = false;  // scheduler timing from arrival stamps only
   opts.clock = &clock_;
+  // Submissions hold at least one micro-batch, so with two or more in
+  // flight the oldest one's last batch can always close (see Await).
+  const size_t rows_per_submission =
+      std::max<size_t>(TupleBatch::kDefaultTargetTuples, opts.max_batch);
+  PredictReplies replies;  // declared first: outlives the engine's threads
   InferenceEngine engine(&models_, opts);
   CORGI_RETURN_NOT_OK(engine.Start());
 
+  EvalAccumulator acc;
+  uint64_t submitted = 0;
+  uint64_t folded = 0;
+  std::vector<TupleBatch> spare;  // recycled row arenas
+  TupleBatch open(rows_per_submission);
+  // Folds the next submission in tuple order; the first failed row fails
+  // the statement, as it would have failed the per-row replay.
+  auto fold = [&](ServeBatchReply reply) -> Status {
+    for (size_t i = 0; i < reply.replies.size(); ++i) {
+      const ServeReply& r = reply.replies[i];
+      CORGI_RETURN_NOT_OK(r.status);
+      acc.Add(reply.rows.label(i), r.value, r.loss, r.correct);
+    }
+    reply.rows.Clear();
+    spare.push_back(std::move(reply.rows));
+    ++folded;
+    return Status::OK();
+  };
+  auto submit = [&] {
+    ServeBatchRequest req;
+    req.rows = std::move(open);
+    req.model_id = stmt.model_id;
+    engine.SubmitBatch(std::move(req), replies.Slot(submitted++));
+    if (spare.empty()) {
+      open = TupleBatch(rows_per_submission);
+    } else {
+      open = std::move(spare.back());
+      spare.pop_back();
+    }
+  };
+
   // Snapshot scan — no global lock. Concurrent TRAIN/INSERT sessions never
   // block this read and never change what it sees.
-  std::vector<Tuple> tuples;
-  CORGI_RETURN_NOT_OK(CollectForRead(table->Snapshot(), &tuples));
-
-  std::vector<std::future<ServeReply>> futures;
-  futures.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
-    ServeRequest req;
-    req.tuple = t;
-    req.model_id = stmt.model_id;
-    req.arrival_s = 0.0;
-    futures.push_back(engine.Submit(std::move(req)));
+  bool saw_failure = false;
+  Status scan = ScanForRead(table->Snapshot(), [&](const Tuple& t) -> Status {
+    open.Append(t);
+    if (!open.full()) return Status::OK();
+    submit();
+    while (submitted - folded > kPredictWindow) {
+      std::optional<ServeBatchReply> reply = replies.Await(folded);
+      if (!reply.has_value()) {
+        // A later row already failed, so the statement fails at or before
+        // it: stop scanning and let the fold below find the first failure.
+        saw_failure = true;
+        return Status::Cancelled("predict stopped at a failed row");
+      }
+      CORGI_RETURN_NOT_OK(fold(std::move(*reply)));
+    }
+    return Status::OK();
+  });
+  if (!saw_failure) {
+    CORGI_RETURN_NOT_OK(scan);
+    if (!open.empty()) submit();
   }
-  CORGI_RETURN_NOT_OK(engine.Drain());
-
-  EvalAccumulator acc;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ServeReply reply = futures[i].get();
-    CORGI_RETURN_NOT_OK(reply.status);
-    acc.Add(tuples[i].label, reply.value, reply.loss, reply.correct);
+  CORGI_RETURN_NOT_OK(engine.Drain());  // every submission has completed
+  while (folded < submitted) {
+    CORGI_RETURN_NOT_OK(fold(replies.Take(folded)));
   }
   const EvalResult eval = acc.Finalize(entry->label_type);
 
@@ -644,9 +753,14 @@ Result<BinaryReport> Database::EvaluateModel(const EvaluateStatement& stmt) {
   }
   CORGI_ASSIGN_OR_RETURN(std::shared_ptr<const Model> model,
                          models_.Get(stmt.model_id));
-  std::vector<Tuple> all;
-  CORGI_RETURN_NOT_OK(CollectForRead(entry->table->Snapshot(), &all));
-  return EvaluateBinaryDetailed(*model, all);
+  const ShardedSnapshot snap = entry->table->Snapshot();
+  BinaryScorer scorer(*model);
+  scorer.Reserve(snap.num_tuples());
+  CORGI_RETURN_NOT_OK(ScanForRead(snap, [&scorer](const Tuple& t) {
+    scorer.Add(t);
+    return Status::OK();
+  }));
+  return scorer.Finalize();
 }
 
 Result<uint64_t> Database::Load(const LoadStatement& stmt) {

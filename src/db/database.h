@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -148,7 +149,8 @@ class Database {
   /// Benchmark baseline: when true, every table scan and insert funnels
   /// through one mutex and merge scans run sequentially — the old
   /// `scan_mu_` behavior bench_session_sweep compares the snapshot engine
-  /// against. Off by default.
+  /// against. PREDICT/EVALUATE consume their scan as it streams, so the
+  /// mutex covers their scoring too. Off by default.
   void set_serialize_scans(bool on) {
     serialize_scans_.store(on, std::memory_order_release);
   }
@@ -190,8 +192,14 @@ class Database {
                       bool compress, uint32_t page_size, TableEntry entry)
       CORGI_REQUIRES(catalog_mu_);
 
-  /// Scans a snapshot into a tuple vector, honoring the serialize-scans
-  /// baseline and using the shared scan pool for multi-shard snapshots.
+  /// Streams a snapshot through `fn` in insertion order, honoring the
+  /// serialize-scans baseline and using the shared scan pool for
+  /// multi-shard snapshots. PREDICT BY and EVALUATE BY read this way.
+  Status ScanForRead(const ShardedSnapshot& snap,
+                     const std::function<Status(const Tuple&)>& fn);
+
+  /// ScanForRead into a tuple vector (the validation gate's holdout
+  /// sample needs the whole table).
   Status CollectForRead(const ShardedSnapshot& snap, std::vector<Tuple>* out);
 
   /// Lazily built pool shared by all multi-shard merge scans.

@@ -62,21 +62,19 @@ EvalResult EvalAccumulator::Finalize(LabelType label_type) const {
   return r;
 }
 
-BinaryReport EvaluateBinaryDetailed(const Model& model,
-                                    const std::vector<Tuple>& tuples) {
-  BinaryReport report;
-  std::vector<std::pair<double, bool>> scored;  // (score, is_positive)
-  scored.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
-    const double score = model.Predict(t);
-    const bool positive = t.label > 0;
-    const bool predicted_positive = score >= 0;
-    if (positive && predicted_positive) ++report.tp;
-    else if (positive) ++report.fn;
-    else if (predicted_positive) ++report.fp;
-    else ++report.tn;
-    scored.emplace_back(score, positive);
-  }
+void BinaryScorer::Add(const Tuple& t) {
+  const double score = model_.Predict(t);
+  const bool positive = t.label > 0;
+  const bool predicted_positive = score >= 0;
+  if (positive && predicted_positive) ++report_.tp;
+  else if (positive) ++report_.fn;
+  else if (predicted_positive) ++report_.fp;
+  else ++report_.tn;
+  scored_.emplace_back(score, positive);
+}
+
+BinaryReport BinaryScorer::Finalize() {
+  BinaryReport report = report_;
   // AUC via the rank-sum (Mann–Whitney) statistic with tie handling.
   const uint64_t pos = report.tp + report.fn;
   const uint64_t neg = report.fp + report.tn;
@@ -84,22 +82,30 @@ BinaryReport EvaluateBinaryDetailed(const Model& model,
     report.auc = 0.0;
     return report;
   }
-  std::sort(scored.begin(), scored.end(),
+  std::sort(scored_.begin(), scored_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   double rank_sum_pos = 0.0;
   size_t i = 0;
-  while (i < scored.size()) {
+  while (i < scored_.size()) {
     size_t j = i;
-    while (j < scored.size() && scored[j].first == scored[i].first) ++j;
+    while (j < scored_.size() && scored_[j].first == scored_[i].first) ++j;
     const double avg_rank = 0.5 * static_cast<double>(i + 1 + j);  // 1-based
     for (size_t k = i; k < j; ++k) {
-      if (scored[k].second) rank_sum_pos += avg_rank;
+      if (scored_[k].second) rank_sum_pos += avg_rank;
     }
     i = j;
   }
   report.auc = (rank_sum_pos - 0.5 * pos * (pos + 1)) /
                (static_cast<double>(pos) * static_cast<double>(neg));
   return report;
+}
+
+BinaryReport EvaluateBinaryDetailed(const Model& model,
+                                    const std::vector<Tuple>& tuples) {
+  BinaryScorer scorer(model);
+  scorer.Reserve(tuples.size());
+  for (const Tuple& t : tuples) scorer.Add(t);
+  return scorer.Finalize();
 }
 
 }  // namespace corgipile

@@ -2,6 +2,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "ml/model.h"
@@ -64,6 +66,24 @@ struct BinaryReport {
   }
 };
 
+/// Streaming form of EvaluateBinaryDetailed: scores one tuple at a time
+/// and keeps only (score, label) pairs for the AUC, so a scan can feed it
+/// without materializing the table. Finalize() once, after the last Add.
+class BinaryScorer {
+ public:
+  explicit BinaryScorer(const Model& model) : model_(model) {}
+
+  void Reserve(size_t n) { scored_.reserve(n); }
+  void Add(const Tuple& t);
+  BinaryReport Finalize();
+
+ private:
+  const Model& model_;
+  BinaryReport report_;
+  std::vector<std::pair<double, bool>> scored_;  // (score, is_positive)
+};
+
+/// One-shot BinaryScorer over `tuples`.
 BinaryReport EvaluateBinaryDetailed(const Model& model,
                                     const std::vector<Tuple>& tuples);
 

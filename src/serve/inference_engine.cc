@@ -9,18 +9,32 @@ namespace corgipile {
 
 namespace {
 
-/// Does `t`'s feature space fit a model built for `model.input_dim()`
-/// inputs? (0 = unknown dimensionality, accept.) Guards the Dot() contract
-/// instead of reading past the weight vector.
-bool TupleFits(const Tuple& t, const Model& model) {
+/// Queued rows that trigger a Dispatch() before the submission ends.
+constexpr size_t kDispatchRows = TupleBatch::kDefaultTargetTuples;
+
+/// Does a row with these features fit a model built for
+/// `model.input_dim()` inputs? (0 = unknown dimensionality, accept.)
+/// Guards the Dot() contract instead of reading past the weight vector.
+bool Fits(const uint32_t* keys, size_t nnz, const Model& model) {
   const uint32_t dim = model.input_dim();
   if (dim == 0) return true;
-  if (t.sparse()) return t.feature_keys.empty() || t.feature_keys.back() < dim;
-  return t.nnz() <= dim;
+  if (keys != nullptr && nnz > 0) return keys[nnz - 1] < dim;
+  return nnz <= dim;
+}
+
+/// Moves the fields every row of a submission shares out of a
+/// ServeRequest or ServeBatchRequest.
+template <typename Request, typename Dest>
+void TakeSharedFields(Request& req, Dest* sub) {
+  sub->model_id = std::move(req.model_id);
+  sub->arrival_s = req.arrival_s;
+  sub->deadline_s = req.deadline_s;
+  sub->token = std::move(req.token);
+  sub->on_arrival = std::move(req.on_arrival);
 }
 
 /// Blocking push that leaves `p` intact when the channel refuses it, so
-/// the caller can still fulfill the promise with the failure.
+/// the caller can still answer its rows with the failure.
 template <typename T>
 Status PushBlocking(Channel<T>& ch, T& p) {
   for (;;) {
@@ -43,13 +57,13 @@ InferenceEngine::InferenceEngine(ModelStore* store, ServeOptions options)
       pool_(std::max<uint32_t>(1, options_.num_workers)),
       worker_free_s_(std::max<uint32_t>(1, options_.num_workers), 0.0) {
   // Chaos hook: scripted send failures on the scheduler→worker channel
-  // surface as per-item errors, never as wrong answers (tests/chaos_test).
+  // surface as per-row errors, never as wrong answers (tests/chaos_test).
   batches_.set_chaos_point("channel.serve.batches");
 }
 
 InferenceEngine::~InferenceEngine() {
   // Destructor cannot propagate the Status; Drain() here only exists to
-  // fulfill pending promises, and its failure modes (never started /
+  // complete pending submissions, and its failure modes (never started /
   // already drained) are exactly the states the guard excludes.
   if (started_ && !drained_) (void)Drain();
 }
@@ -67,12 +81,39 @@ Status InferenceEngine::Start() {
 }
 
 std::future<ServeReply> InferenceEngine::Submit(ServeRequest req) {
-  Pending p;
-  p.req = std::move(req);
-  std::future<ServeReply> fut = p.promise.get_future();
-  Status st = PushBlocking(intake_, p);
-  if (!st.ok()) Fail(std::move(p), std::move(st));
+  auto sub = std::make_shared<Submission>();
+  sub->rows = std::move(req.tuple);
+  sub->num_rows = 1;
+  TakeSharedFields(req, sub.get());
+  std::future<ServeReply> fut =
+      sub->done.emplace<std::promise<ServeReply>>().get_future();
+  Enqueue(std::move(sub));
   return fut;
+}
+
+void InferenceEngine::SubmitBatch(ServeBatchRequest req,
+                                  ServeBatchCallback done) {
+  auto sub = std::make_shared<Submission>();
+  sub->num_rows = static_cast<uint32_t>(req.rows.size());
+  sub->rows = std::move(req.rows);
+  TakeSharedFields(req, sub.get());
+  sub->done = std::move(done);
+  Enqueue(std::move(sub));
+}
+
+void InferenceEngine::Enqueue(std::shared_ptr<Submission> sub) {
+  sub->replies.resize(sub->num_rows);
+  sub->unresolved.store(sub->num_rows, std::memory_order_relaxed);
+  if (sub->num_rows == 0) {
+    Complete(sub.get());
+    return;
+  }
+  Status st = PushBlocking(intake_, sub);
+  if (!st.ok()) {
+    for (uint32_t row = 0; row < sub->num_rows; ++row) {
+      Fail(RowRef{sub.get(), row}, st);
+    }
+  }
 }
 
 Status InferenceEngine::Drain() {
@@ -90,69 +131,118 @@ ServeStats InferenceEngine::stats() const {
   return stats_.Finalize();
 }
 
-void InferenceEngine::Fail(Pending&& p, Status status) {
-  ServeReply reply;
-  reply.status = std::move(status);
-  p.promise.set_value(std::move(reply));
+void InferenceEngine::Fail(const RowRef& ref, Status status) {
+  ref.sub->replies[ref.row].status = std::move(status);
+  Resolve(ref.sub, 1);
+}
+
+void InferenceEngine::Resolve(Submission* sub, uint32_t rows) {
+  // acq_rel: every reply written before another thread's decrement is
+  // visible to whichever thread completes the submission.
+  if (sub->unresolved.fetch_sub(rows, std::memory_order_acq_rel) == rows) {
+    Complete(sub);
+  }
+}
+
+void InferenceEngine::Complete(Submission* sub) {
+  if (auto* promise = std::get_if<std::promise<ServeReply>>(&sub->done)) {
+    promise->set_value(std::move(sub->replies.front()));
+    return;
+  }
+  auto& done = std::get<ServeBatchCallback>(sub->done);
+  if (done) {
+    done(ServeBatchReply{std::move(std::get<TupleBatch>(sub->rows)),
+                         std::move(sub->replies)});
+  }
+}
+
+size_t InferenceEngine::RowWidth(const RowRef& ref) {
+  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) return t->nnz();
+  return std::get<TupleBatch>(ref.sub->rows).nnz(ref.row);
+}
+
+bool InferenceEngine::RowFits(const RowRef& ref, const Model& model) {
+  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) {
+    return t->sparse()
+               ? Fits(t->feature_keys.data(), t->feature_keys.size(), model)
+               : Fits(nullptr, t->nnz(), model);
+  }
+  const TupleBatch& rows = std::get<TupleBatch>(ref.sub->rows);
+  return Fits(rows.keys(ref.row), rows.nnz(ref.row), model);
+}
+
+void InferenceEngine::AppendRow(const RowRef& ref, TupleBatch* out) {
+  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) {
+    out->Append(*t);
+  } else {
+    out->AppendFrom(std::get<TupleBatch>(ref.sub->rows), ref.row);
+  }
 }
 
 void InferenceEngine::SchedulerLoop() {
   for (;;) {
-    Pending p;
-    if (options_.flush_on_idle && !open_items_.empty()) {
-      auto popped = intake_.TryPop(&p);
+    std::shared_ptr<Submission> sub;
+    if (options_.flush_on_idle && !open_rows_.empty()) {
+      auto popped = intake_.TryPop(&sub);
       if (!popped.ok()) break;  // cancelled; open batch failed below
       if (!*popped) {
         if (intake_.closed()) break;  // final flush below
         // Idle: no session is waiting to join this batch — the deadline
         // effectively expires now.
         CloseOpenBatch(now_s_, /*by_deadline=*/true);
+        Dispatch();
         continue;
       }
     } else {
-      auto popped = intake_.Pop(&p);
+      auto popped = intake_.Pop(&sub);
       if (!popped.ok() || !*popped) break;
     }
-    ProcessArrival(std::move(p));
+    if (sub->on_arrival) sub->on_arrival();
+    {
+      MutexLock lock(stats_mu_);
+      stats_.RecordArrivals(std::max(sub->arrival_s, 0.0), sub->num_rows);
+    }
+    // A submission's rows are already queued: no idle flush between them.
+    for (uint32_t row = 0; row < sub->num_rows; ++row) ProcessRow(sub, row);
+    Dispatch();
   }
   // End of stream: the open batch waits out its deadline with no further
   // arrivals to fill it.
-  if (!open_items_.empty()) {
+  if (!open_rows_.empty()) {
     CloseOpenBatch(options_.flush_on_idle
                        ? now_s_
                        : open_time_ + options_.batch_deadline_s,
                    /*by_deadline=*/true);
   }
+  Dispatch();
   batches_.Close();
 }
 
-void InferenceEngine::ProcessArrival(Pending&& p) {
-  if (p.req.on_arrival) p.req.on_arrival();
-  const double arrival = std::max(p.req.arrival_s, 0.0);
+void InferenceEngine::ProcessRow(const std::shared_ptr<Submission>& sub,
+                                 uint32_t row) {
+  const Submission& s = *sub;
+  const RowRef ref{sub.get(), row};
+  const double arrival = std::max(s.arrival_s, 0.0);
   now_s_ = std::max(now_s_, arrival);
-  {
-    MutexLock lock(stats_mu_);
-    stats_.RecordArrival(arrival);
-  }
 
   // A deadline that fell before this arrival closed the open batch first.
-  if (!open_items_.empty() &&
+  if (!open_rows_.empty() &&
       arrival > open_time_ + options_.batch_deadline_s) {
     CloseOpenBatch(open_time_ + options_.batch_deadline_s,
                    /*by_deadline=*/true);
   }
 
-  if (p.req.token.cancelled()) {
+  if (s.token.cancelled()) {
     {
       MutexLock lock(stats_mu_);
       stats_.RecordCancelled();
     }
-    Fail(std::move(p), p.req.token.status());
+    Fail(ref, s.token.status());
     return;
   }
 
-  // Admission control against the modeled queue: requests whose service
-  // has not started by `arrival` plus the open batch.
+  // Admission control against the modeled queue: rows whose service has
+  // not started by `arrival` plus the open batch.
   while (backlog_head_ < backlog_.size() &&
          backlog_[backlog_head_].first <= arrival) {
     backlog_count_ -= backlog_[backlog_head_].second;
@@ -163,29 +253,32 @@ void InferenceEngine::ProcessArrival(Pending&& p) {
                    backlog_.begin() + static_cast<ptrdiff_t>(backlog_head_));
     backlog_head_ = 0;
   }
-  const uint64_t occupancy = backlog_count_ + open_items_.size();
+  const uint64_t occupancy = backlog_count_ + open_rows_.size();
   if (options_.max_queue_depth > 0 &&
       occupancy >= options_.max_queue_depth) {
     {
       MutexLock lock(stats_mu_);
       stats_.RecordShed();
     }
-    Fail(std::move(p),
-         Status::ResourceExhausted(
-             "serve queue full (" + std::to_string(occupancy) + " waiting)"));
+    Fail(ref, Status::ResourceExhausted("serve queue full (" +
+                                        std::to_string(occupancy) +
+                                        " waiting)"));
     return;
   }
 
   // Batches are per model id; a switch closes the open batch early.
-  if (!open_items_.empty() && p.req.model_id != open_model_id_) {
+  if (!open_rows_.empty() && s.model_id != open_model_id_) {
     CloseOpenBatch(arrival, /*by_deadline=*/false);
   }
-  if (open_items_.empty()) {
-    open_model_id_ = p.req.model_id;
+  if (open_rows_.empty()) {
+    open_model_id_ = s.model_id;
     open_time_ = arrival;
   }
-  open_items_.push_back(std::move(p));
-  if (open_items_.size() >= options_.max_batch) {
+  open_rows_.push_back(ref);
+  if (open_owners_.empty() || open_owners_.back() != sub) {
+    open_owners_.push_back(sub);
+  }
+  if (open_rows_.size() >= options_.max_batch) {
     CloseOpenBatch(arrival, /*by_deadline=*/false);
   }
 }
@@ -337,9 +430,11 @@ bool InferenceEngine::ApplyCanary(const ModelSnapshot& incumbent,
 }
 
 void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
-  if (open_items_.empty()) return;
-  std::vector<Pending> items = std::move(open_items_);
-  open_items_.clear();
+  if (open_rows_.empty()) return;
+  std::vector<RowRef> rows = std::move(open_rows_);
+  std::vector<std::shared_ptr<Submission>> owners = std::move(open_owners_);
+  open_rows_.clear();
+  open_owners_.clear();
 
   // Hot-swap boundary: the snapshot resolved here serves the whole batch,
   // even if a Publish() lands before the batch executes.
@@ -355,11 +450,11 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
       snapshot = good->second;
       brownout = true;
     } else {
-      MutexLock lock(stats_mu_);
-      for (auto& item : items) {
-        stats_.RecordFailed();
-        Fail(std::move(item), snapshot.status());
+      {
+        MutexLock lock(stats_mu_);
+        for (size_t i = 0; i < rows.size(); ++i) stats_.RecordFailed();
       }
+      for (const RowRef& ref : rows) Fail(ref, snapshot.status());
       return;
     }
   }
@@ -370,45 +465,50 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
       worker_free_s_.begin());
   const double start_s = std::max(close_s, worker_free_s_[w]);
 
-  std::vector<Pending> run;
-  run.reserve(items.size());
-  for (auto& item : items) {
-    if (item.req.token.cancelled()) {
-      MutexLock lock(stats_mu_);
-      stats_.RecordCancelled();
-      Fail(std::move(item), item.req.token.status());
+  std::vector<RowRef> run;
+  run.reserve(rows.size());
+  for (const RowRef& ref : rows) {
+    const Submission& s = *ref.sub;
+    if (s.token.cancelled()) {
+      {
+        MutexLock lock(stats_mu_);
+        stats_.RecordCancelled();
+      }
+      Fail(ref, s.token.status());
       continue;
     }
-    if (item.req.deadline_s > 0.0 &&
-        start_s - item.req.arrival_s > item.req.deadline_s) {
-      MutexLock lock(stats_mu_);
-      stats_.RecordExpired();
-      Fail(std::move(item),
-           Status::DeadlineExceeded(
-               "request queued past its " +
-               std::to_string(item.req.deadline_s) + "s deadline"));
+    if (s.deadline_s > 0.0 && start_s - s.arrival_s > s.deadline_s) {
+      {
+        MutexLock lock(stats_mu_);
+        stats_.RecordExpired();
+      }
+      Fail(ref, Status::DeadlineExceeded("request queued past its " +
+                                         std::to_string(s.deadline_s) +
+                                         "s deadline"));
       continue;
     }
-    if (!TupleFits(item.req.tuple, *snapshot->model)) {
-      MutexLock lock(stats_mu_);
-      stats_.RecordFailed();
-      Fail(std::move(item),
-           Status::InvalidArgument(
-               "tuple features exceed model '" + open_model_id_ +
-               "' input_dim=" +
-               std::to_string(snapshot->model->input_dim())));
+    if (!RowFits(ref, *snapshot->model)) {
+      {
+        MutexLock lock(stats_mu_);
+        stats_.RecordFailed();
+      }
+      Fail(ref, Status::InvalidArgument(
+                    "tuple features exceed model '" + open_model_id_ +
+                    "' input_dim=" +
+                    std::to_string(snapshot->model->input_dim())));
       continue;
     }
-    run.push_back(std::move(item));
+    run.push_back(ref);
   }
   if (run.empty()) return;  // nothing survived; no service slot consumed
 
   // Pack the arena before the canary stage: paired quality evaluation
-  // needs the batched tuples.
+  // needs the batched rows.
   Batch batch;
   batch.model_id = open_model_id_;
   batch.tuples.set_target_tuples(run.size());
-  for (const Pending& item : run) batch.tuples.Append(item.req.tuple);
+  batch.tuples.Reserve(run.size(), RowWidth(run.front()));
+  for (const RowRef& ref : run) AppendRow(ref, &batch.tuples);
 
   // Canary routing (DESIGN.md §13). A brownout batch never canaries: it is
   // already serving degraded, and its "incumbent" is a stale snapshot.
@@ -430,15 +530,16 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
   if (options_.clock != nullptr) {
     options_.clock->Advance(TimeCategory::kServe, service_s);
   }
+  batch_latencies_.clear();
+  for (const RowRef& ref : run) {
+    batch_latencies_.push_back(completion_s - ref.sub->arrival_s);
+  }
   {
     MutexLock lock(stats_mu_);
     stats_.RecordBatch(run.size(), by_deadline, service_s);
     if (brownout) stats_.RecordBrownoutBatch(run.size());
-    for (const Pending& item : run) {
-      stats_.RecordCompletion(open_model_id_, serving.version,
-                              completion_s - item.req.arrival_s,
-                              completion_s);
-    }
+    stats_.RecordCompletions(open_model_id_, serving.version, completion_s,
+                             batch_latencies_);
   }
 
   batch.model = serving.model;
@@ -446,11 +547,23 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
   batch.seq = next_batch_seq_++;
   batch.canary = canary;
   batch.completion_s = completion_s;
-  batch.items = std::move(run);
-  Status st = PushBlocking(batches_, batch);
+  batch.rows = std::move(run);
+  batch.owners = std::move(owners);
+  dispatch_rows_ += batch.rows.size();
+  dispatch_.push_back(std::move(batch));
+  if (dispatch_rows_ >= kDispatchRows) Dispatch();
+}
+
+void InferenceEngine::Dispatch() {
+  if (dispatch_.empty()) return;
+  Status st = PushBlocking(batches_, dispatch_);
   if (!st.ok()) {
-    for (auto& item : batch.items) Fail(std::move(item), st);
+    for (const Batch& batch : dispatch_) {
+      for (const RowRef& ref : batch.rows) Fail(ref, st);
+    }
   }
+  dispatch_.clear();
+  dispatch_rows_ = 0;
 }
 
 void InferenceEngine::WorkerLoop() {
@@ -458,40 +571,57 @@ void InferenceEngine::WorkerLoop() {
   std::vector<double> losses;
   std::vector<uint8_t> corrects;
   for (;;) {
-    Batch batch;
-    auto popped = batches_.Pop(&batch);
+    std::vector<Batch> group;
+    auto popped = batches_.Pop(&group);
     if (!popped.ok() || !*popped) return;
-    const size_t n = batch.items.size();
-    values.resize(n);
-    losses.resize(n);
-    corrects.resize(n);
-    // One batched kernel call per micro-batch; BatchEvaluate is const and
-    // thread-safe on the shared snapshot.
-    batch.model->BatchEvaluate(batch.tuples, values.data(), losses.data(),
-                               corrects.data());
-    // Per-version quality: summed row-major here (deterministic within the
-    // batch), folded in dispatch order by ServeStatsBuilder::Finalize so
-    // worker interleaving never changes the totals.
-    uint64_t correct_count = 0;
-    double loss_sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      correct_count += corrects[i] != 0 ? 1 : 0;
-      loss_sum += losses[i];
+    for (const Batch& batch : group) {
+      RunBatch(batch, &values, &losses, &corrects);
     }
-    {
-      MutexLock lock(stats_mu_);
-      stats_.RecordBatchQuality(batch.seq, batch.model_id, batch.version, n,
-                                correct_count, loss_sum);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      ServeReply reply;
-      reply.value = values[i];
-      reply.loss = losses[i];
-      reply.correct = corrects[i] != 0;
-      reply.model_version = batch.version;
-      reply.latency_s = batch.completion_s - batch.items[i].req.arrival_s;
-      batch.items[i].promise.set_value(std::move(reply));
-    }
+  }
+}
+
+void InferenceEngine::RunBatch(const Batch& batch, std::vector<double>* values,
+                               std::vector<double>* losses,
+                               std::vector<uint8_t>* corrects) {
+  const size_t n = batch.rows.size();
+  values->resize(n);
+  losses->resize(n);
+  corrects->resize(n);
+  // One batched kernel call per micro-batch; BatchEvaluate is const and
+  // thread-safe on the shared snapshot.
+  batch.model->BatchEvaluate(batch.tuples, values->data(), losses->data(),
+                             corrects->data());
+  // Per-version quality: summed row-major here (deterministic within the
+  // batch), folded in dispatch order by ServeStatsBuilder::Finalize so
+  // worker interleaving never changes the totals.
+  uint64_t correct_count = 0;
+  double loss_sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    correct_count += (*corrects)[i] != 0 ? 1 : 0;
+    loss_sum += (*losses)[i];
+  }
+  {
+    MutexLock lock(stats_mu_);
+    stats_.RecordBatchQuality(batch.seq, batch.model_id, batch.version, n,
+                              correct_count, loss_sum);
+  }
+  // Write every reply before resolving any: a resolved submission may
+  // complete (and hand its rows back) at once.
+  for (size_t i = 0; i < n; ++i) {
+    const RowRef& ref = batch.rows[i];
+    ServeReply& reply = ref.sub->replies[ref.row];
+    reply.value = (*values)[i];
+    reply.loss = (*losses)[i];
+    reply.correct = (*corrects)[i] != 0;
+    reply.model_version = batch.version;
+    reply.latency_s = batch.completion_s - ref.sub->arrival_s;
+  }
+  // One counter update per run of rows from the same submission.
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && batch.rows[j].sub == batch.rows[i].sub) ++j;
+    Resolve(batch.rows[i].sub, static_cast<uint32_t>(j - i));
+    i = j;
   }
 }
 

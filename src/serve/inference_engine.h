@@ -3,48 +3,60 @@
 //
 // Architecture — three stages connected by Channels, mirroring DESIGN.md §8:
 //
-//   sessions --Submit()--> intake Channel --> scheduler thread
-//       --Batch Channel--> ThreadPool workers --promise--> sessions
+//   sessions --Submit()/SubmitBatch()--> intake Channel --> scheduler thread
+//       --Batch Channel--> ThreadPool workers --completion--> sessions
+//
+// The unit of intake is a *submission*: a block of rows that share one
+// model id, arrival stamp, deadline and token, answered by one reply block
+// and one completion. SubmitBatch() hands in many rows at once (PREDICT BY
+// streams its snapshot this way); Submit() is the one-row case on the same
+// path. Everything downstream of intake is per row.
 //
 // The *scheduler* is the deterministic heart: a single thread that pops
-// requests in FIFO order, advances a virtual timeline (simulated seconds,
-// same convention as SimClock/Deadline), forms micro-batches (close when
-// `max_batch` tuples are buffered or when the next arrival shows the
-// `batch_deadline_s` has passed, whichever first), applies admission
-// control (shed with kResourceExhausted once the modeled queue holds
-// `max_queue_depth` requests), per-request deadlines and cancellation
-// (util/cancellation.h tokens), resolves the model snapshot from the
-// versioned ModelStore (hot-swap boundary: a batch formed before a
+// submissions in FIFO order, walks their rows in order, advances a virtual
+// timeline (simulated seconds, same convention as SimClock/Deadline), forms
+// micro-batches (close when `max_batch` rows are buffered or when the next
+// arrival shows the `batch_deadline_s` has passed, whichever first),
+// applies admission control (shed with kResourceExhausted once the modeled
+// queue holds `max_queue_depth` rows), per-request deadlines and
+// cancellation (util/cancellation.h tokens), resolves the model snapshot
+// from the versioned ModelStore (hot-swap boundary: a batch formed before a
 // Publish() keeps serving the old version), and assigns each batch to the
 // first-free of `num_workers` simulated service slots with
-// service = per_batch_overhead_s + n · per_tuple_s.
+// service = per_batch_overhead_s + n · per_tuple_s. A micro-batch may take
+// rows from several submissions; a submission's rows may span several
+// micro-batches.
 //
 // Because every timing decision reads only generated arrival stamps and
 // this deterministic service model — never the wall clock — the ServeStats
 // produced for a given (schedule, options, store) are bit-identical across
-// reruns. The *execution* of a batch (Model::Predict/Loss/Correct) runs
-// for real on the ThreadPool workers; their wall-time interleaving cannot
-// affect the stats, only when each promise is fulfilled.
+// reruns, and a submission of n rows yields exactly the stats of n one-row
+// submissions with the same fields. The *execution* of a batch
+// (Model::BatchEvaluate) runs for real on the ThreadPool workers; their
+// wall-time interleaving cannot affect the stats, only when each
+// submission completes.
 //
 // Liveness modes:
 //  * flush_on_idle = false (generated schedules, the SQL PREDICT path):
-//    the scheduler blocks for the next request before deciding whether the
-//    open batch's deadline passed — fully deterministic, but a partial
+//    the scheduler blocks for the next submission before deciding whether
+//    the open batch's deadline passed — fully deterministic, but a partial
 //    batch only closes on the next arrival or Drain().
 //  * flush_on_idle = true (live concurrent sessions): an empty intake
-//    queue closes the open batch immediately, so a session that submits
-//    one request and waits on its future is never stalled behind an open
-//    batch. Stats remain internally consistent but depend on arrival
-//    interleaving.
+//    queue after a submission's last row closes the open batch
+//    immediately, so a session that submits and waits is never stalled
+//    behind an open batch. Stats remain internally consistent but depend
+//    on arrival interleaving.
 
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "db/model_store.h"
@@ -71,7 +83,7 @@ struct ServeOptions {
   double batch_deadline_s = 2e-3;
   /// Simulated service slots AND real ThreadPool executor threads.
   uint32_t num_workers = 4;
-  /// Admission control: shed arrivals once this many accepted requests are
+  /// Admission control: shed arrivals once this many accepted rows are
   /// waiting to start service. 0 = unbounded (never shed).
   uint64_t max_queue_depth = 256;
   /// Deterministic service-time model for one batch of n tuples:
@@ -147,11 +159,37 @@ struct ServeReply {
   double latency_s = 0.0;      ///< simulated completion − arrival
 };
 
+/// A multi-row submission: every row carries the request fields of
+/// ServeRequest (model id, arrival stamp, deadline, token). The scheduler
+/// serves it exactly like rows.size() one-row requests submitted back to
+/// back — same admission, batching and stats — but intake, reply and
+/// completion happen once per submission instead of once per row.
+struct ServeBatchRequest {
+  TupleBatch rows;
+  std::string model_id;
+  double arrival_s = 0.0;
+  double deadline_s = 0.0;
+  CancellationToken token;
+  /// Runs on the scheduler thread before the first row is processed (see
+  /// ServeRequest::on_arrival).
+  std::function<void()> on_arrival;
+};
+
+/// Reply block of one submission: replies[i] answers row i. The rows come
+/// back with it so the submitter can read labels and reuse the arena.
+struct ServeBatchReply {
+  TupleBatch rows;
+  std::vector<ServeReply> replies;
+};
+
+/// Completion of a SubmitBatch(); see there for where it runs.
+using ServeBatchCallback = std::function<void(ServeBatchReply)>;
+
 class InferenceEngine {
  public:
   /// `store` is borrowed and must outlive the engine.
   InferenceEngine(ModelStore* store, ServeOptions options);
-  /// Drains if the caller has not; pending promises are always fulfilled.
+  /// Drains if the caller has not; pending submissions always complete.
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -164,7 +202,15 @@ class InferenceEngine {
   /// arrives through the returned future (possibly with a non-OK status:
   /// kResourceExhausted when shed, kDeadlineExceeded, kCancelled, ...).
   /// Blocks only for intake-channel flow control, never on service time.
+  /// A one-row submission on the SubmitBatch() path.
   std::future<ServeReply> Submit(ServeRequest req);
+
+  /// Multi-row submission: thread-safe, blocks only for intake flow
+  /// control. `done` runs exactly once, after every row is answered, with
+  /// the rows and their replies in row order — on the engine thread that
+  /// resolved the last row (or on the caller's thread for an empty or
+  /// refused submission). It must not block on the engine.
+  void SubmitBatch(ServeBatchRequest req, ServeBatchCallback done);
 
   /// Closes intake, waits until every submitted request has been answered
   /// and all threads have stopped. Idempotent.
@@ -176,9 +222,29 @@ class InferenceEngine {
   const ServeOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    ServeRequest req;
-    std::promise<ServeReply> promise;
+  /// One submission in flight. Shared by the intake channel, the
+  /// scheduler, and every batch holding one of its rows; completed when
+  /// `unresolved` reaches zero.
+  struct Submission {
+    /// A one-row Submit() keeps its Tuple (no arena to build); a
+    /// SubmitBatch() its TupleBatch, handed back on completion.
+    std::variant<Tuple, TupleBatch> rows;
+    std::string model_id;
+    double arrival_s = 0.0;
+    double deadline_s = 0.0;
+    CancellationToken token;
+    std::function<void()> on_arrival;
+    uint32_t num_rows = 0;
+    std::vector<ServeReply> replies;
+    std::atomic<uint32_t> unresolved{0};
+    /// Multi-row callback, or the one-row Submit() promise.
+    std::variant<ServeBatchCallback, std::promise<ServeReply>> done;
+  };
+  /// Row `row` of submission `sub`. Raw pointer: the batch (or open batch)
+  /// holding the ref also holds the submission's shared_ptr.
+  struct RowRef {
+    Submission* sub = nullptr;
+    uint32_t row = 0;
   };
   struct Batch {
     std::shared_ptr<const Model> model;
@@ -190,19 +256,46 @@ class InferenceEngine {
     /// Served by a staged canary candidate instead of the incumbent.
     bool canary = false;
     double completion_s = 0.0;
-    /// Admitted tuples packed into one arena; row i belongs to items[i].
+    /// Admitted rows packed into one arena; row i belongs to rows[i].
     /// Workers evaluate the whole batch with Model::BatchEvaluate instead
-    /// of per-item Predict/Loss/Correct calls.
+    /// of per-row Predict/Loss/Correct calls.
     TupleBatch tuples;
-    std::vector<Pending> items;
+    std::vector<RowRef> rows;
+    /// Keeps every submission referenced by `rows` alive.
+    std::vector<std::shared_ptr<Submission>> owners;
   };
 
+  /// Sizes the reply block and hands `sub` to the scheduler.
+  void Enqueue(std::shared_ptr<Submission> sub);
   void SchedulerLoop();
-  void ProcessArrival(Pending&& p);
-  /// Dispatches the open batch; `close_s` is the simulated close time.
+  /// Admission, deadline close, model-switch close and max_batch close for
+  /// one row, in the order a one-row request would see them.
+  void ProcessRow(const std::shared_ptr<Submission>& sub, uint32_t row);
+  /// Closes the open batch at simulated time `close_s` and queues it for
+  /// Dispatch.
   void CloseOpenBatch(double close_s, bool by_deadline);
+  /// Sends the queued micro-batches to the workers as one channel item.
+  /// Called when the scheduler finishes a submission, on an idle or final
+  /// flush, and once kDispatchRows rows are queued: a multi-row submission
+  /// costs one worker hand-off per few hundred rows instead of one per
+  /// micro-batch, and a one-row submission's batch leaves at once.
+  void Dispatch();
   void WorkerLoop();
-  void Fail(Pending&& p, Status status);
+  /// Executes one micro-batch and answers its rows (worker threads).
+  void RunBatch(const Batch& batch, std::vector<double>* values,
+                std::vector<double>* losses, std::vector<uint8_t>* corrects);
+  /// Answers one row with `status`. Never called under stats_mu_: the
+  /// last resolved row runs the submitter's completion.
+  void Fail(const RowRef& ref, Status status);
+  /// Marks `rows` rows of `sub` answered; the last one completes it.
+  void Resolve(Submission* sub, uint32_t rows);
+  void Complete(Submission* sub);
+  /// Does the row's feature space fit `model`? (TupleFits on the row.)
+  static bool RowFits(const RowRef& ref, const Model& model);
+  /// Feature count of the row (sizes a micro-batch arena).
+  static size_t RowWidth(const RowRef& ref);
+  /// Packs the row into a micro-batch arena.
+  static void AppendRow(const RowRef& ref, TupleBatch* out);
   /// Resolves the snapshot serving the open batch, applying the breaker /
   /// bounded-retry layers (scheduler thread only). On success also updates
   /// the last-good map and resets the model's breaker on a version change.
@@ -218,8 +311,9 @@ class InferenceEngine {
   ModelStore* store_;
   const ServeOptions options_;
 
-  Channel<Pending> intake_;
-  Channel<Batch> batches_;
+  Channel<std::shared_ptr<Submission>> intake_;
+  /// Closed micro-batches travel to the workers in groups (see Dispatch).
+  Channel<std::vector<Batch>> batches_;
   ThreadPool pool_;
   std::thread scheduler_;
   std::vector<std::future<void>> worker_done_;
@@ -228,12 +322,15 @@ class InferenceEngine {
 
   // --- scheduler-thread state (unsynchronized by design) ---
   double now_s_ = 0.0;  ///< virtual timeline, monotone
-  std::vector<Pending> open_items_;
+  std::vector<Batch> dispatch_;  ///< closed, not yet sent to workers
+  size_t dispatch_rows_ = 0;
+  std::vector<RowRef> open_rows_;
+  std::vector<std::shared_ptr<Submission>> open_owners_;
   std::string open_model_id_;
   double open_time_ = 0.0;
   std::vector<double> worker_free_s_;  ///< simulated service slots
   /// Dispatched batches whose service has not started yet at the current
-  /// timeline position: (service_start_s, size). Front-pruned as arrivals
+  /// timeline position: (service_start_s, rows). Front-pruned as arrivals
   /// advance time; the summed sizes are the modeled queue occupancy that
   /// admission control bounds.
   std::vector<std::pair<double, uint64_t>> backlog_;
@@ -244,6 +341,7 @@ class InferenceEngine {
   std::map<std::string, CircuitBreaker> breakers_;
   std::map<std::string, ModelSnapshot> last_good_;
   uint64_t next_batch_seq_ = 0;
+  std::vector<double> batch_latencies_;  ///< CloseOpenBatch scratch
   /// Per-model canary runtime: routing RNG, breach breaker, clean streak.
   /// Keyed by staged version so a re-staged candidate gets a cold start.
   struct CanaryRuntime {

@@ -113,7 +113,8 @@ struct ServeStats {
 /// finalizes percentiles. Not thread-safe; the engine serializes access.
 class ServeStatsBuilder {
  public:
-  void RecordArrival(double arrival_s);
+  /// `count` requests (one submission's rows) arriving at `arrival_s`.
+  void RecordArrivals(double arrival_s, uint64_t count);
   void RecordShed() { ++stats_.shed; }
   void RecordExpired() { ++stats_.expired; }
   void RecordCancelled() { ++stats_.cancelled; }
@@ -146,10 +147,13 @@ class ServeStatsBuilder {
                           double loss_sum);
 
   /// One dispatched batch: per-request completion latencies are recorded
-  /// by the caller via RecordCompletion.
+  /// by the caller via RecordCompletions.
   void RecordBatch(uint64_t size, bool closed_by_deadline, double service_s);
-  void RecordCompletion(const std::string& model_id, uint64_t version,
-                        double latency_s, double completion_s);
+  /// The requests of one batch served by (model id, version), completing
+  /// at `completion_s` after the given latencies.
+  void RecordCompletions(const std::string& model_id, uint64_t version,
+                         double completion_s,
+                         const std::vector<double>& latencies_s);
 
   /// Percentiles and rates computed; the builder can keep accumulating
   /// (Finalize is a pure snapshot).

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -642,6 +643,189 @@ TEST(ServeChaosTest, ResolveFailuresWithoutLastGoodFailLoudlyNeverWrongly) {
 
   const ServeChaosOutcome rerun = RunServeChaos(sc, /*publish_v2_at=*/-1);
   EXPECT_EQ(run.stats, rerun.stats) << sc.Describe();
+}
+
+// --- Multi-row submissions under serving faults ---------------------------
+
+/// SubmitBatch with its completion delivered through a future.
+std::future<ServeBatchReply> SubmitRows(InferenceEngine& engine,
+                                        ServeBatchRequest req) {
+  auto promise = std::make_shared<std::promise<ServeBatchReply>>();
+  std::future<ServeBatchReply> fut = promise->get_future();
+  engine.SubmitBatch(std::move(req), [promise](ServeBatchReply reply) {
+    promise->set_value(std::move(reply));
+  });
+  return fut;
+}
+
+/// Rows [begin, end) of `tuples` as one submission arriving at `arrival_s`.
+ServeBatchRequest RowsOf(const std::vector<Tuple>& tuples, size_t begin,
+                         size_t end, const std::string& id,
+                         double arrival_s) {
+  ServeBatchRequest req;
+  for (size_t i = begin; i < end; ++i) req.rows.Append(tuples[i]);
+  req.model_id = id;
+  req.arrival_s = arrival_s;
+  return req;
+}
+
+TEST(ServeChaosTest, BatchSendFailureFailsExactlyTheAffectedRows) {
+  // Three 10-row submissions, micro-batches of 4. The scheduler hands
+  // closed batches to the workers once per submission: send 0 carries
+  // rows 0-7, send 1 rows 8-19 (the first submission's tail shares a
+  // batch with the second's head), send 2 rows 20-27, the final flush
+  // rows 28-29. Failing send 1 must fail exactly rows 8-19 — two rows of
+  // the first submission and all of the second — and answer every other
+  // row correctly.
+  ModelStore store;
+  auto m1 = std::make_unique<LogisticRegression>(8);
+  for (size_t i = 0; i < m1->params().size(); ++i) {
+    m1->params()[i] = 0.05 * static_cast<double>(i + 1);
+  }
+  const LogisticRegression reference = *m1;
+  const std::string id = store.Put(std::move(m1));
+  const std::vector<Tuple> tuples = MakeServeTuples(30, 8, 31);
+
+  ChaosScenario sc;
+  sc.name = "serve-batch-send-fail";
+  sc.seed = 71;
+  sc.rules = {MakeRule("channel.serve.batches", ChaosAction::kFail, 1)};
+
+  ServeOptions opts;
+  opts.max_batch = 4;
+  opts.num_workers = 2;
+  opts.max_queue_depth = 0;
+  opts.flush_on_idle = false;
+  InferenceEngine engine(&store, opts);
+  ASSERT_TRUE(engine.Start().ok());
+  std::vector<std::future<ServeBatchReply>> blocks;
+  const ChaosReport report = ChaosRunner::Run(sc, [&]() -> Status {
+    for (size_t begin = 0; begin < tuples.size(); begin += 10) {
+      blocks.push_back(
+          SubmitRows(engine, RowsOf(tuples, begin, begin + 10, id, 0.0)));
+    }
+    return engine.Drain();
+  });
+  EXPECT_TRUE(report.final_status.ok()) << report.Describe();
+  EXPECT_EQ(report.plane.injected_failures, 1u) << sc.Describe();
+  EXPECT_EQ(report.hits.at("channel.serve.batches"), 4u) << sc.Describe();
+
+  std::vector<ServeReply> replies;
+  for (auto& fut : blocks) {
+    ServeBatchReply block = fut.get();
+    ASSERT_EQ(block.replies.size(), 10u);
+    for (ServeReply& r : block.replies) replies.push_back(std::move(r));
+  }
+  for (size_t row = 0; row < replies.size(); ++row) {
+    const ServeReply& r = replies[row];
+    if (row >= 8 && row < 20) {
+      EXPECT_TRUE(r.status.IsIoError())
+          << sc.Describe() << " row " << row << ": " << r.status.ToString();
+    } else {
+      ASSERT_TRUE(r.status.ok())
+          << sc.Describe() << " row " << row << ": " << r.status.ToString();
+      EXPECT_DOUBLE_EQ(r.value, reference.Predict(tuples[row]))
+          << sc.Describe() << " row " << row;
+    }
+  }
+}
+
+/// The brownout drill of RunServeChaos with rows 0-3 arriving at 0 and
+/// rows 4-15 at 4e-4 (hot-swap to v2 when row 4 arrives), submitted either
+/// as 16 one-row requests or as two multi-row submissions.
+ServeChaosOutcome RunServeChaosRows(const ChaosScenario& sc, bool multi_row) {
+  ServeChaosOutcome out;
+  ModelStore store;
+  auto m1 = std::make_unique<LogisticRegression>(8);
+  for (size_t i = 0; i < m1->params().size(); ++i) {
+    m1->params()[i] = 0.05 * static_cast<double>(i + 1);
+  }
+  const std::string id = store.Put(std::move(m1));
+  const std::vector<Tuple> tuples = MakeServeTuples(16, 8, 29);
+  auto publish_v2 = [&store, &id] {
+    auto v2 = std::make_unique<LogisticRegression>(8);
+    for (auto& p : v2->params()) p = -1.0;
+    EXPECT_TRUE(store.Publish(id, std::move(v2)).ok());
+  };
+
+  SimClock clock;
+  InferenceEngine engine(&store, DegradedServeOptions(&clock));
+  EXPECT_TRUE(engine.Start().ok());
+  std::vector<std::future<ServeReply>> singles;
+  std::vector<std::future<ServeBatchReply>> blocks;
+  const ChaosReport report = ChaosRunner::Run(sc, [&]() -> Status {
+    if (multi_row) {
+      blocks.push_back(SubmitRows(engine, RowsOf(tuples, 0, 4, id, 0.0)));
+      ServeBatchRequest rest = RowsOf(tuples, 4, 16, id, 4e-4);
+      rest.on_arrival = publish_v2;
+      blocks.push_back(SubmitRows(engine, std::move(rest)));
+    } else {
+      for (size_t i = 0; i < tuples.size(); ++i) {
+        ServeRequest req;
+        req.tuple = tuples[i];
+        req.model_id = id;
+        req.arrival_s = i < 4 ? 0.0 : 4e-4;
+        if (i == 4) req.on_arrival = publish_v2;
+        singles.push_back(engine.Submit(std::move(req)));
+      }
+    }
+    return engine.Drain();
+  });
+  EXPECT_TRUE(report.final_status.ok())
+      << sc.Describe() << ": " << report.Describe();
+  for (auto& fut : singles) out.replies.push_back(fut.get());
+  for (auto& fut : blocks) {
+    ServeBatchReply block = fut.get();
+    for (ServeReply& r : block.replies) out.replies.push_back(std::move(r));
+  }
+  out.stats = engine.stats();
+  out.retry_backoff_s = clock.Elapsed(TimeCategory::kRetryBackoff);
+  return out;
+}
+
+TEST(ServeChaosTest, MultiRowResolveFaultsRetryTripAndBrownOutLikeOneRow) {
+  LogisticRegression v1(8);
+  for (size_t i = 0; i < v1.params().size(); ++i) {
+    v1.params()[i] = 0.05 * static_cast<double>(i + 1);
+  }
+  const std::vector<Tuple> tuples = MakeServeTuples(16, 8, 29);
+
+  ChaosScenario sc;
+  sc.name = "serve-brownout-multirow";
+  sc.seed = 73;
+  sc.rules = {MakeRule("serve.resolve", ChaosAction::kFail, 1, 0)};
+
+  const ServeChaosOutcome rows = RunServeChaosRows(sc, /*multi_row=*/true);
+  const ServeChaosOutcome one = RunServeChaosRows(sc, /*multi_row=*/false);
+
+  // Retry, then breaker, then brownout — the same ladder, rung for rung.
+  EXPECT_EQ(rows.stats.hedged_retries, 1u) << sc.Describe();
+  EXPECT_EQ(rows.stats.breaker_opens, 1u) << sc.Describe();
+  EXPECT_EQ(rows.stats.breaker_short_circuits, 1u) << sc.Describe();
+  EXPECT_EQ(rows.stats.brownout_batches, 3u) << sc.Describe();
+  EXPECT_EQ(rows.stats.brownout_served, 12u) << sc.Describe();
+  EXPECT_EQ(rows.stats.completed, 16u) << sc.Describe();
+  EXPECT_DOUBLE_EQ(rows.retry_backoff_s, 1e-3) << sc.Describe();
+  ASSERT_EQ(rows.replies.size(), 16u);
+  for (size_t i = 0; i < rows.replies.size(); ++i) {
+    const ServeReply& r = rows.replies[i];
+    ASSERT_TRUE(r.status.ok()) << sc.Describe() << " row " << i;
+    EXPECT_EQ(r.model_version, 1u) << sc.Describe() << " row " << i;
+    EXPECT_DOUBLE_EQ(r.value, v1.Predict(tuples[i]))
+        << sc.Describe() << " row " << i;
+  }
+
+  // Bit-identical to the same rows submitted one at a time.
+  EXPECT_TRUE(rows.stats == one.stats) << sc.Describe() << "\n"
+                                       << rows.stats.ToString() << "\n vs \n"
+                                       << one.stats.ToString();
+  ASSERT_EQ(one.replies.size(), rows.replies.size());
+  for (size_t i = 0; i < one.replies.size(); ++i) {
+    EXPECT_EQ(rows.replies[i].value, one.replies[i].value) << "row " << i;
+    EXPECT_EQ(rows.replies[i].latency_s, one.replies[i].latency_s)
+        << "row " << i;
+  }
+  EXPECT_EQ(rows.retry_backoff_s, one.retry_backoff_s) << sc.Describe();
 }
 
 // --- Model lifecycle crash points (DESIGN.md §13) --------------------------

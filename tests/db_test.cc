@@ -695,7 +695,9 @@ TEST(UdaBaselineTest, BismarckNoShuffleVsShuffleOnce) {
   opts.clock = &clock;
   opts.io_stats = &stats;
   opts.device = DeviceProfile::Hdd();
-  opts.scratch_dir = testing::TempDir();
+  // Own directory: integration_test writes a susy shuffled copy into the
+  // shared temp dir, and ctest may run both binaries at once.
+  opts.scratch_dir = MakeTempDir("uda_b_scratch");
 
   SvmModel m1(f.ds.spec.dim);
   auto no_shuffle = RunUdaBaseline(f.table.get(), &m1, opts);
@@ -892,6 +894,82 @@ TEST(DatabaseTest, PredictAgainstModelRemovedMidRunFailsCleanly) {
   EXPECT_EQ(not_found, kRequests - kRemoveAt);
 
   // Statement-level: the next PREDICT BY fails up front with kNotFound.
+  EXPECT_TRUE(
+      db.Execute("SELECT * FROM susy PREDICT BY m").status().IsNotFound());
+}
+
+TEST(DatabaseTest, RemoveMidRunFailsMultiRowSubmissionsCleanly) {
+  // The multi-row form of the test above. Submission A (rows 0-29) leaves
+  // rows 28-29 in the open micro-batch; submission B (rows 30-63) removes
+  // the model as it arrives, so that batch resolves kNotFound. A ends
+  // partially served, partially failed, and Drain() is called while its
+  // served rows may still be resolving on the workers: both submissions
+  // must complete with exactly the right rows failed, and nothing hangs.
+  const std::string dir = MakeTempDir("db_remove_midrun_rows");
+  Database db(dir, DeviceProfile::Ssd());
+  auto spec = CatalogLookup("susy", 0.02).ValueOrDie();
+  Dataset ds = GenerateDataset(spec, DataOrder::kClustered);
+  ASSERT_TRUE(db.RegisterDataset("susy", ds).ok());
+  TrainStatement stmt;
+  stmt.table_name = "susy";
+  stmt.model_kind = "lr";
+  stmt.params = Params::Parse("learning_rate=0.005, max_epoch_num=2, "
+                              "block_size=16KB, publish=m")
+                    .ValueOrDie();
+  ASSERT_TRUE(db.Train(stmt).ok());
+
+  ServeOptions serve;
+  serve.max_batch = 4;
+  serve.batch_deadline_s = 1.0;  // close by size only: exact boundaries
+  serve.num_workers = 2;
+  serve.max_queue_depth = 0;
+  serve.flush_on_idle = false;
+  InferenceEngine engine(&db.models(), serve);
+  ASSERT_TRUE(engine.Start().ok());
+
+  const std::vector<Tuple>& pool = *ds.train;
+  constexpr size_t kSplit = 30;
+  constexpr size_t kRows = 64;
+  auto submit = [&](size_t begin, size_t end, bool remove) {
+    ServeBatchRequest req;
+    for (size_t i = begin; i < end; ++i) req.rows.Append(pool[i % pool.size()]);
+    req.model_id = "m";
+    req.arrival_s = 1e-3 * static_cast<double>(begin);
+    if (remove) {
+      req.on_arrival = [&db] { ASSERT_TRUE(db.models().Remove("m").ok()); };
+    }
+    auto promise = std::make_shared<std::promise<ServeBatchReply>>();
+    std::future<ServeBatchReply> fut = promise->get_future();
+    engine.SubmitBatch(std::move(req), [promise](ServeBatchReply reply) {
+      promise->set_value(std::move(reply));
+    });
+    return fut;
+  };
+  std::future<ServeBatchReply> a = submit(0, kSplit, false);
+  std::future<ServeBatchReply> b = submit(kSplit, kRows, true);
+  ASSERT_TRUE(engine.Drain().ok());  // completes: nothing hangs
+
+  std::vector<ServeReply> replies = a.get().replies;
+  for (ServeReply& r : b.get().replies) replies.push_back(std::move(r));
+  ASSERT_EQ(replies.size(), kRows);
+  uint64_t served = 0, not_found = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    const ServeReply& r = replies[i];
+    if (r.status.ok()) {
+      ++served;
+      EXPECT_EQ(r.model_version, 1u) << "row " << i;
+      EXPECT_LT(i, 28u) << "row " << i << " served after the removal";
+    } else {
+      EXPECT_TRUE(r.status.IsNotFound())
+          << "row " << i << ": " << r.status.ToString();
+      ++not_found;
+    }
+  }
+  // Seven full batches of A were dispatched before B arrived.
+  EXPECT_EQ(served, 28u);
+  EXPECT_EQ(not_found, kRows - 28);
+  EXPECT_EQ(engine.stats().failed, kRows - 28);
+
   EXPECT_TRUE(
       db.Execute("SELECT * FROM susy PREDICT BY m").status().IsNotFound());
 }

@@ -1,19 +1,23 @@
 // Tests for src/serve/: the versioned model registry, the micro-batched
 // inference engine (determinism, admission control, deadlines,
-// cancellation, hot-swap), live concurrent sessions, and the SQL
-// PREDICT BY path that routes through the engine.
+// cancellation, hot-swap, multi-row submissions), live concurrent
+// sessions, and the SQL PREDICT BY path that streams through the engine
+// (checked against the per-request replay it replaced).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <future>
 #include <thread>
 
 #include "db/database.h"
 #include "db/model_store.h"
 #include "dataset/catalog.h"
 #include "dataset/loader.h"
+#include "exec/shard_scan.h"
 #include "ml/linear_models.h"
+#include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "serve/inference_engine.h"
 #include "serve/workload.h"
@@ -445,6 +449,321 @@ TEST(SqlPredictTest, ManyConcurrentPredictSessions) {
   }
   for (auto& th : sessions) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- multi-row submissions ---
+
+/// SubmitBatch with its completion delivered through a future.
+std::future<ServeBatchReply> SubmitRows(InferenceEngine& engine,
+                                        ServeBatchRequest req) {
+  auto promise = std::make_shared<std::promise<ServeBatchReply>>();
+  std::future<ServeBatchReply> fut = promise->get_future();
+  engine.SubmitBatch(std::move(req), [promise](ServeBatchReply reply) {
+    promise->set_value(std::move(reply));
+  });
+  return fut;
+}
+
+TEST(InferenceEngineTest, MultiRowSubmissionMatchesOneRowSubmissions) {
+  // n rows in one submission are served exactly like n one-row requests
+  // with the same fields: same stats, same replies, rows handed back.
+  ServeFixture f;
+  ServeOptions opts = SmallServeOptions();
+  opts.flush_on_idle = false;
+  opts.max_queue_depth = 0;
+
+  InferenceEngine one_row(&f.store, opts);
+  ASSERT_TRUE(one_row.Start().ok());
+  std::vector<std::future<ServeReply>> singles;
+  for (const Tuple& t : f.tuples) {
+    ServeRequest req;
+    req.tuple = t;
+    req.model_id = f.id;
+    singles.push_back(one_row.Submit(std::move(req)));
+  }
+  ASSERT_TRUE(one_row.Drain().ok());
+
+  InferenceEngine multi_row(&f.store, opts);
+  ASSERT_TRUE(multi_row.Start().ok());
+  // 64 rows in submissions of 20/20/24: micro-batches of 8 straddle them.
+  std::vector<std::future<ServeBatchReply>> blocks;
+  const size_t bounds[] = {0, 20, 40, 64};
+  for (size_t k = 0; k + 1 < std::size(bounds); ++k) {
+    ServeBatchRequest req;
+    for (size_t i = bounds[k]; i < bounds[k + 1]; ++i) {
+      req.rows.Append(f.tuples[i]);
+    }
+    req.model_id = f.id;
+    blocks.push_back(SubmitRows(multi_row, std::move(req)));
+  }
+  ASSERT_TRUE(multi_row.Drain().ok());
+
+  EXPECT_TRUE(one_row.stats() == multi_row.stats())
+      << one_row.stats().ToString() << "\n vs \n"
+      << multi_row.stats().ToString();
+  size_t next = 0;
+  for (auto& fut : blocks) {
+    ServeBatchReply block = fut.get();
+    ASSERT_EQ(block.rows.size(), block.replies.size());
+    for (size_t i = 0; i < block.replies.size(); ++i, ++next) {
+      const ServeReply expected = singles[next].get();
+      const ServeReply& got = block.replies[i];
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      EXPECT_EQ(block.rows.id(i), f.tuples[next].id);
+      EXPECT_EQ(got.value, expected.value) << "row " << next;
+      EXPECT_EQ(got.loss, expected.loss) << "row " << next;
+      EXPECT_EQ(got.correct, expected.correct) << "row " << next;
+      EXPECT_EQ(got.model_version, expected.model_version);
+      EXPECT_EQ(got.latency_s, expected.latency_s) << "row " << next;
+    }
+  }
+  EXPECT_EQ(next, f.tuples.size());
+}
+
+TEST(InferenceEngineTest, EmptyAndCancelledSubmissionsComplete) {
+  ServeFixture f;
+  ServeOptions opts = SmallServeOptions();
+  InferenceEngine engine(&f.store, opts);
+  ASSERT_TRUE(engine.Start().ok());
+
+  ServeBatchRequest empty;
+  empty.model_id = f.id;
+  auto empty_fut = SubmitRows(engine, std::move(empty));
+
+  ServeBatchRequest cancelled;
+  for (size_t i = 0; i < 5; ++i) cancelled.rows.Append(f.tuples[i]);
+  cancelled.model_id = f.id;
+  cancelled.token.Cancel(Status::Cancelled("caller went away"));
+  auto cancelled_fut = SubmitRows(engine, std::move(cancelled));
+  ASSERT_TRUE(engine.Drain().ok());
+
+  EXPECT_TRUE(empty_fut.get().replies.empty());
+  const ServeBatchReply block = cancelled_fut.get();
+  ASSERT_EQ(block.replies.size(), 5u);
+  for (const ServeReply& r : block.replies) {
+    EXPECT_TRUE(r.status.IsCancelled()) << r.status.ToString();
+  }
+  EXPECT_EQ(engine.stats().cancelled, 5u);
+  EXPECT_EQ(engine.stats().submitted, 5u);
+
+  // After Drain, intake is closed: the rows fail, the completion still runs.
+  ServeBatchRequest late;
+  late.rows.Append(f.tuples[0]);
+  late.model_id = f.id;
+  const ServeBatchReply refused = SubmitRows(engine, std::move(late)).get();
+  ASSERT_EQ(refused.replies.size(), 1u);
+  EXPECT_FALSE(refused.replies[0].status.ok());
+}
+
+TEST(InferenceEngineTest, ConcurrentMultiRowSubmissions) {
+  // Live mode: several sessions submit interleaved multi-row blocks; every
+  // row is answered by the model, whatever micro-batch it shared.
+  ServeFixture f;
+  ServeOptions opts = SmallServeOptions();
+  opts.max_queue_depth = 0;
+  opts.flush_on_idle = true;
+  InferenceEngine engine(&f.store, opts);
+  ASSERT_TRUE(engine.Start().ok());
+  const std::shared_ptr<const Model> model = f.store.Get(f.id).ValueOrDie();
+
+  constexpr int kSessions = 4;
+  constexpr int kBlocksEach = 25;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&, s] {
+      for (int b = 0; b < kBlocksEach; ++b) {
+        ServeBatchRequest req;
+        const size_t rows = 1 + static_cast<size_t>((s * 7 + b) % 13);
+        for (size_t i = 0; i < rows; ++i) {
+          req.rows.Append(f.tuples[(s * 16 + b + i) % f.tuples.size()]);
+        }
+        req.model_id = f.id;
+        ServeBatchReply block = SubmitRows(engine, std::move(req)).get();
+        if (block.replies.size() != rows) wrong.fetch_add(1);
+        for (size_t i = 0; i < block.replies.size(); ++i) {
+          const Tuple t = block.rows.ToTuple(i);
+          if (!block.replies[i].status.ok() ||
+              block.replies[i].value != model->Predict(t)) {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : sessions) th.join();
+  ASSERT_TRUE(engine.Drain().ok());
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(engine.stats().completed, engine.stats().submitted);
+}
+
+// --- PREDICT BY oracle: streaming vs the per-request replay ---
+
+/// PREDICT BY as it ran before the snapshot streamed into the engine:
+/// collect the whole snapshot, one Submit() per tuple, Drain, fold the
+/// futures in tuple order. The reference Database::Predict must match.
+Result<InDbPredictResult> PerRequestPredict(Database* db,
+                                            const PredictStatement& stmt) {
+  CORGI_ASSIGN_OR_RETURN(ShardedTable * table,
+                         db->GetShardedTable(stmt.table_name));
+  ServeOptions opts = db->serve_options();
+  opts.flush_on_idle = false;
+  opts.clock = &db->clock();
+  InferenceEngine engine(&db->models(), opts);
+  CORGI_RETURN_NOT_OK(engine.Start());
+
+  const ShardedSnapshot snap = table->Snapshot();
+  snap.ResetReadCursors();
+  std::vector<Tuple> tuples;
+  CORGI_RETURN_NOT_OK(CollectSnapshot(snap, ShardScanOptions{}, &tuples));
+  std::vector<std::future<ServeReply>> futures;
+  futures.reserve(tuples.size());
+  for (const Tuple& t : tuples) {
+    ServeRequest req;
+    req.tuple = t;
+    req.model_id = stmt.model_id;
+    futures.push_back(engine.Submit(std::move(req)));
+  }
+  CORGI_RETURN_NOT_OK(engine.Drain());
+
+  EvalAccumulator acc;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ServeReply reply = futures[i].get();
+    CORGI_RETURN_NOT_OK(reply.status);
+    acc.Add(tuples[i].label, reply.value, reply.loss, reply.correct);
+  }
+  const EvalResult eval = acc.Finalize(table->schema().label_type);
+  InDbPredictResult out;
+  out.count = eval.count;
+  out.metric = eval.metric;
+  out.mean_loss = eval.mean_loss;
+  out.serve = engine.stats();
+  return out;
+}
+
+enum class OracleVariant { kPlain, kShed, kCanaryPromote, kCanaryRollback };
+
+const char* VariantName(OracleVariant v) {
+  switch (v) {
+    case OracleVariant::kPlain: return "plain";
+    case OracleVariant::kShed: return "shed";
+    case OracleVariant::kCanaryPromote: return "canary_promote";
+    case OracleVariant::kCanaryRollback: return "canary_rollback";
+  }
+  return "?";
+}
+
+constexpr uint32_t kOracleDim = 8;
+/// Not a multiple of 32, so the last micro-batch closes by deadline, and
+/// more than a dozen 256-row submissions, so Predict's window fills.
+constexpr uint64_t kOracleRows = 3000;
+
+std::unique_ptr<LogisticRegression> OracleModel(double sign) {
+  auto model = std::make_unique<LogisticRegression>(kOracleDim);
+  for (size_t i = 0; i < model->params().size(); ++i) {
+    model->params()[i] = sign * 0.1 * static_cast<double>(i + 1) *
+                         (i % 2 == 0 ? 1.0 : -1.0);
+  }
+  return model;
+}
+
+/// Rows the incumbent classifies well (labels follow its decision), so a
+/// negated candidate loses on every paired batch.
+std::vector<Tuple> OracleTuples() {
+  std::vector<Tuple> tuples = MakeTuples(kOracleRows, kOracleDim, 77);
+  const auto model = OracleModel(1.0);
+  for (Tuple& t : tuples) t.label = model->Predict(t) >= 0 ? 1.0 : -1.0;
+  return tuples;
+}
+
+/// A fresh database per run: canary promotion and rollback mutate the
+/// store, so the reference and the streaming run each start from the
+/// same state.
+std::unique_ptr<Database> MakeOracleDb(const std::string& tag,
+                                       uint32_t shards, uint32_t max_batch,
+                                       OracleVariant variant) {
+  const std::string dir = testing::TempDir() + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto db = std::make_unique<Database>(dir, DeviceProfile::Ssd());
+  Schema schema;
+  schema.name = "t";
+  schema.dim = kOracleDim;
+  EXPECT_TRUE(db->CreateTable("t", schema, OracleTuples(), false,
+                              Page::kDefaultSize, shards)
+                  .ok());
+  EXPECT_TRUE(db->models().Publish("m", OracleModel(1.0)).ok());
+  if (variant == OracleVariant::kCanaryPromote ||
+      variant == OracleVariant::kCanaryRollback) {
+    CanaryPolicy policy;
+    policy.fraction = 0.3;
+    policy.seed = 17;
+    policy.promote_after_batches = 6;
+    policy.auto_rollback = true;
+    // An identical candidate never breaches and gets promoted; a negated
+    // one breaches every paired batch and gets rolled back.
+    const double sign = variant == OracleVariant::kCanaryPromote ? 1.0 : -1.0;
+    EXPECT_TRUE(db->models().StageCanary("m", OracleModel(sign), policy).ok());
+  }
+  ServeOptions opts = db->serve_options();
+  opts.max_batch = max_batch;
+  if (variant == OracleVariant::kShed) opts.max_queue_depth = 100;
+  db->set_serve_options(opts);
+  return db;
+}
+
+TEST(PredictOracleTest, StreamingPredictMatchesPerRequestReplay) {
+  const PredictStatement stmt{"t", "m"};
+  for (uint32_t shards : {1u, 4u}) {
+    // 48 does not divide the 256-row submissions, so micro-batches
+    // straddle submission boundaries.
+    for (uint32_t max_batch : {1u, 32u, 48u}) {
+      for (OracleVariant variant :
+           {OracleVariant::kPlain, OracleVariant::kShed,
+            OracleVariant::kCanaryPromote, OracleVariant::kCanaryRollback}) {
+        const std::string tag = std::string("oracle_") + VariantName(variant) +
+                                "_k" + std::to_string(shards) + "_b" +
+                                std::to_string(max_batch);
+        SCOPED_TRACE(tag);
+        auto ref_db = MakeOracleDb(tag + "_ref", shards, max_batch, variant);
+        auto new_db = MakeOracleDb(tag + "_new", shards, max_batch, variant);
+        const auto ref = PerRequestPredict(ref_db.get(), stmt);
+        const auto got = new_db->Predict(stmt);
+
+        if (variant == OracleVariant::kShed) {
+          // Same refusal: the first shed row, in tuple order.
+          ASSERT_FALSE(ref.ok());
+          EXPECT_TRUE(ref.status().IsResourceExhausted())
+              << ref.status().ToString();
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status().ToString(), ref.status().ToString());
+          continue;
+        }
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->count, kOracleRows);
+        EXPECT_EQ(got->count, ref->count);
+        EXPECT_EQ(got->metric, ref->metric);
+        EXPECT_EQ(got->mean_loss, ref->mean_loss);
+        EXPECT_TRUE(got->serve == ref->serve)
+            << got->serve.ToString() << "\n vs \n" << ref->serve.ToString();
+
+        // The cases the oracle is meant to cover really occurred.
+        if (max_batch > 1) {
+          EXPECT_EQ(ref->serve.deadline_closes, 1u);  // partial last batch
+        }
+        if (variant == OracleVariant::kCanaryPromote) {
+          EXPECT_EQ(ref->serve.canary_promotions, 1u);
+          EXPECT_EQ(ref->serve.served_by_version.at("m").size(), 2u);
+        }
+        if (variant == OracleVariant::kCanaryRollback) {
+          EXPECT_EQ(ref->serve.canary_rollbacks, 1u);
+          EXPECT_GT(ref->serve.canary_breaches, 0u);
+          EXPECT_EQ(ref->serve.served_by_version.at("m").size(), 2u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
