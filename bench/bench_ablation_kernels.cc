@@ -1,7 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): per-tuple SGD step throughput
-// for each model family (dense and sparse), tuple serialization, the TOAST
-// codec, and the RNG primitives the shuffles lean on. These are the
-// constants behind every "compute" number in the experiment benches.
+// for each model family (dense and sparse), the batched SGD entry point
+// over a TupleBatch, tuple serialization, the TOAST codec, and the RNG
+// primitives the shuffles lean on. These are the constants behind every
+// "compute" number in the experiment benches.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "dataset/catalog.h"
+#include "exec/tuple_batch.h"
 #include "ml/linear_models.h"
 #include "ml/mlp.h"
 #include "storage/compression.h"
@@ -72,6 +74,43 @@ void BM_SgdStepMlp(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SgdStepMlp)->Arg(32)->Arg(128)->ArgName("hidden");
+
+// Batched entry: one BatchGradientStep over a full transport batch of
+// distinct rows, the call the trainer and SgdOp make per NextBatch. Items
+// are rows, so ns/row = 1e9 / items_per_second.
+void RunBatchGradientStep(benchmark::State& state, Model* model,
+                          const TupleBatch& batch) {
+  model->InitParams(1);
+  double loss_sum = 0.0;
+  for (auto _ : state) {
+    model->BatchGradientStep(batch, 1e-4, &loss_sum);
+    benchmark::DoNotOptimize(loss_sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch.size()));
+}
+
+void BM_BatchGradientStepLrDense(benchmark::State& state) {
+  const auto dim = static_cast<uint32_t>(state.range(0));
+  LogisticRegression model(dim);
+  TupleBatch batch;
+  for (size_t i = 0; i < batch.target_tuples(); ++i) {
+    batch.Append(DenseTuple(dim, 2 + i));
+  }
+  RunBatchGradientStep(state, &model, batch);
+}
+BENCHMARK(BM_BatchGradientStepLrDense)->Arg(18)->ArgName("dim");
+
+void BM_BatchGradientStepSvmSparse(benchmark::State& state) {
+  const auto nnz = static_cast<uint32_t>(state.range(0));
+  SvmModel model(10000);
+  TupleBatch batch;
+  for (size_t i = 0; i < batch.target_tuples(); ++i) {
+    batch.Append(SparseTuple(10000, nnz, 2 + i));
+  }
+  RunBatchGradientStep(state, &model, batch);
+}
+BENCHMARK(BM_BatchGradientStepSvmSparse)->Arg(39)->ArgName("nnz");
 
 void BM_TupleSerialize(benchmark::State& state) {
   Tuple t = DenseTuple(static_cast<uint32_t>(state.range(0)), 3);

@@ -174,7 +174,7 @@ bool TupleShuffleOp::NextBatch(TupleBatch* out) {
     for (size_t i = 0; i < take; ++i) {
       const size_t row =
           current_.perm.empty() ? pos_ + i : current_.perm[pos_ + i];
-      out->AppendFrom(current_.tuples, row);
+      out->Append(current_.tuples.row(row));
     }
     pos_ += take;
   }

@@ -8,13 +8,13 @@
 //
 // Dense fast path: while every appended tuple is dense with the same nnz,
 // the value arena is one contiguous row-major [size() × uniform_dim()]
-// matrix (structure-of-arrays), which the mini-batch kernels in src/ml/
-// consume directly. Sparse tuples store their key spans in a parallel key
+// matrix (structure-of-arrays), the layout a vectorized kernel wants; the
+// model kernels in src/ml/ read rows through row(i) today. Sparse tuples store their key spans in a parallel key
 // arena; mixed batches are fully supported, they just lose the uniform
 // layout.
 //
 // Pointer-validity contract: spans returned by values(i)/keys(i) and the
-// row views are valid until the next Append/Clear/Reserve on this batch —
+// row(i) views are valid until the next Append/Clear/Reserve on this batch —
 // i.e. for the consumer, until it requests the next batch. This replaces
 // the per-tuple interfaces' "valid until the next Next()" rule.
 
@@ -66,13 +66,12 @@ class TupleBatch {
     values_.reserve(tuples * values_per_tuple);
   }
 
-  void Append(const Tuple& t) {
-    if (t.sparse()) {
-      AppendSparse(t.id, t.label, t.feature_keys.data(),
-                   t.feature_values.data(), t.feature_values.size());
+  /// Copies one row (a Tuple, or another batch's row(i)) into the arena.
+  void Append(const RowView& r) {
+    if (r.sparse()) {
+      AppendSparse(r.id, r.label, r.keys, r.values, r.nnz);
     } else {
-      AppendDense(t.id, t.label, t.feature_values.data(),
-                  t.feature_values.size());
+      AppendDense(r.id, r.label, r.values, r.nnz);
     }
   }
 
@@ -87,16 +86,6 @@ class TupleBatch {
     values_.insert(values_.end(), values, values + n);
     value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
     key_offsets_.push_back(key_offsets_.back());
-  }
-
-  /// Appends row i of another batch (span copy, no Tuple round trip).
-  void AppendFrom(const TupleBatch& src, size_t i) {
-    if (src.sparse(i)) {
-      AppendSparse(src.id(i), src.label(i), src.keys(i), src.values(i),
-                   src.nnz(i));
-    } else {
-      AppendDense(src.id(i), src.label(i), src.values(i), src.nnz(i));
-    }
   }
 
   void AppendSparse(uint64_t id, double label, const uint32_t* keys,
@@ -125,6 +114,10 @@ class TupleBatch {
   const uint32_t* keys(size_t i) const {
     return sparse(i) ? keys_.data() + key_offsets_[i] : nullptr;
   }
+  /// Row i as the view every model kernel reads; no copy.
+  RowView row(size_t i) const {
+    return RowView(ids_[i], labels_[i], keys(i), values(i), nnz(i));
+  }
 
   /// True while every row is dense with the same width: the value arena is
   /// then one contiguous [size() × uniform_dim()] row-major matrix.
@@ -134,8 +127,9 @@ class TupleBatch {
   const double* labels_data() const { return labels_.data(); }
   const uint64_t* ids_data() const { return ids_.data(); }
 
-  /// Copies row i into *out, reusing out's vector capacity. The compat
-  /// shim for callers that still need a materialized Tuple.
+  /// Copies row i into *out, reusing out's vector capacity, for the
+  /// per-tuple Next() interfaces that hand out a Tuple pointer. Consumers
+  /// that only read a row use row(i).
   void MaterializeTo(size_t i, Tuple* out) const {
     out->id = ids_[i];
     out->label = labels_[i];

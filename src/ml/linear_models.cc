@@ -32,37 +32,37 @@ void BinaryLinearModel::InitParams(uint64_t) {
   std::fill(params_.begin(), params_.end(), 0.0);
 }
 
-double BinaryLinearModel::Margin(const Tuple& t) const {
-  return t.Dot(params_) + params_[dim_];
+double BinaryLinearModel::Margin(const RowView& r) const {
+  return r.Dot(params_) + params_[dim_];
 }
 
-double BinaryLinearModel::Predict(const Tuple& t) const { return Margin(t); }
+double BinaryLinearModel::Predict(const RowView& r) const { return Margin(r); }
 
-bool BinaryLinearModel::Correct(const Tuple& t) const {
-  return (Margin(t) >= 0 ? 1.0 : -1.0) == t.label;
+bool BinaryLinearModel::Correct(const RowView& r) const {
+  return (Margin(r) >= 0 ? 1.0 : -1.0) == r.label;
 }
 
-void BinaryLinearModel::ApplyLinearStep(const Tuple& t, double lr,
+void BinaryLinearModel::ApplyLinearStep(const RowView& r, double lr,
                                         double coef) {
   // Gradient of loss wrt w is coef * x (+ l2 w); wrt bias is coef.
   if (l2_reg_ != 0.0) {
     const double shrink = 1.0 - lr * l2_reg_;
-    if (t.sparse()) {
-      for (uint32_t k : t.feature_keys) params_[k] *= shrink;
+    if (r.sparse()) {
+      for (size_t j = 0; j < r.nnz; ++j) params_[r.keys[j]] *= shrink;
     } else {
       for (uint32_t d = 0; d < dim_; ++d) params_[d] *= shrink;
     }
   }
   if (coef != 0.0) {
-    t.AxpyInto(-lr * coef, &params_);
+    r.AxpyInto(-lr * coef, &params_);
     params_[dim_] -= lr * coef;
   }
 }
 
-void BinaryLinearModel::AccumulateLinear(const Tuple& t, double coef,
+void BinaryLinearModel::AccumulateLinear(const RowView& r, double coef,
                                          std::vector<double>* grad) const {
   if (coef != 0.0) {
-    t.AxpyInto(coef, grad);
+    r.AxpyInto(coef, grad);
     (*grad)[dim_] += coef;
   }
   if (l2_reg_ != 0.0) {
@@ -72,140 +72,24 @@ void BinaryLinearModel::AccumulateLinear(const Tuple& t, double coef,
   }
 }
 
-double BinaryLinearModel::Loss(const Tuple& t) const {
+double BinaryLinearModel::Loss(const RowView& r) const {
   double coef;
-  return LossAndCoef(Margin(t), t.label, &coef);
+  return LossAndCoef(Margin(r), r.label, &coef);
 }
 
-double BinaryLinearModel::SgdStep(const Tuple& t, double lr) {
+double BinaryLinearModel::SgdStep(const RowView& r, double lr) {
   double coef;
-  const double loss = LossAndCoef(Margin(t), t.label, &coef);
-  ApplyLinearStep(t, lr, coef);
+  const double loss = LossAndCoef(Margin(r), r.label, &coef);
+  ApplyLinearStep(r, lr, coef);
   return loss;
 }
 
-double BinaryLinearModel::AccumulateGrad(const Tuple& t,
+double BinaryLinearModel::AccumulateGrad(const RowView& r,
                                          std::vector<double>* grad) const {
   double coef;
-  const double loss = LossAndCoef(Margin(t), t.label, &coef);
-  AccumulateLinear(t, coef, grad);
+  const double loss = LossAndCoef(Margin(r), r.label, &coef);
+  AccumulateLinear(r, coef, grad);
   return loss;
-}
-
-// ---------- Batched arena kernels ----------
-//
-// These mirror Margin/ApplyLinearStep/AccumulateLinear on raw TupleBatch
-// spans. Loop structure and operation order match the Tuple-based code
-// exactly so seeded results stay bit-identical.
-
-double BinaryLinearModel::MarginAt(const TupleBatch& b, size_t i) const {
-  const size_t n = b.nnz(i);
-  const float* v = b.values(i);
-  const uint32_t* k = b.keys(i);
-  double acc = 0.0;
-  if (k != nullptr) {
-    for (size_t j = 0; j < n; ++j) {
-      acc += params_[k[j]] * static_cast<double>(v[j]);
-    }
-  } else {
-    for (size_t j = 0; j < n; ++j) {
-      acc += params_[j] * static_cast<double>(v[j]);
-    }
-  }
-  return acc + params_[dim_];
-}
-
-void BinaryLinearModel::ApplyLinearStepAt(const TupleBatch& b, size_t i,
-                                          double lr, double coef) {
-  const size_t n = b.nnz(i);
-  const float* v = b.values(i);
-  const uint32_t* k = b.keys(i);
-  if (l2_reg_ != 0.0) {
-    const double shrink = 1.0 - lr * l2_reg_;
-    if (k != nullptr) {
-      for (size_t j = 0; j < n; ++j) params_[k[j]] *= shrink;
-    } else {
-      for (uint32_t d = 0; d < dim_; ++d) params_[d] *= shrink;
-    }
-  }
-  if (coef != 0.0) {
-    const double scale = -lr * coef;
-    if (k != nullptr) {
-      for (size_t j = 0; j < n; ++j) {
-        params_[k[j]] += scale * static_cast<double>(v[j]);
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        params_[j] += scale * static_cast<double>(v[j]);
-      }
-    }
-    params_[dim_] -= lr * coef;
-  }
-}
-
-void BinaryLinearModel::AccumulateLinearAt(const TupleBatch& b, size_t i,
-                                           double coef,
-                                           std::vector<double>* grad) const {
-  const size_t n = b.nnz(i);
-  const float* v = b.values(i);
-  const uint32_t* k = b.keys(i);
-  if (coef != 0.0) {
-    if (k != nullptr) {
-      for (size_t j = 0; j < n; ++j) {
-        (*grad)[k[j]] += coef * static_cast<double>(v[j]);
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        (*grad)[j] += coef * static_cast<double>(v[j]);
-      }
-    }
-    (*grad)[dim_] += coef;
-  }
-  if (l2_reg_ != 0.0) {
-    for (uint32_t d = 0; d < dim_; ++d) {
-      (*grad)[d] += l2_reg_ * params_[d];
-    }
-  }
-}
-
-void BinaryLinearModel::BatchGradientStep(const TupleBatch& b, double lr,
-                                          double* loss_sum) {
-  for (size_t i = 0; i < b.size(); ++i) {
-    double coef;
-    *loss_sum += LossAndCoef(MarginAt(b, i), b.label(i), &coef);
-    ApplyLinearStepAt(b, i, lr, coef);
-  }
-}
-
-void BinaryLinearModel::BatchAccumulateGrad(const TupleBatch& b, size_t begin,
-                                            size_t end,
-                                            std::vector<double>* grad,
-                                            double* loss_sum) const {
-  for (size_t i = begin; i < end; ++i) {
-    double coef;
-    *loss_sum += LossAndCoef(MarginAt(b, i), b.label(i), &coef);
-    AccumulateLinearAt(b, i, coef, grad);
-  }
-}
-
-void BinaryLinearModel::BatchLoss(const TupleBatch& b,
-                                  double* loss_sum) const {
-  for (size_t i = 0; i < b.size(); ++i) {
-    double coef;
-    *loss_sum += LossAndCoef(MarginAt(b, i), b.label(i), &coef);
-  }
-}
-
-void BinaryLinearModel::BatchEvaluate(const TupleBatch& b, double* predictions,
-                                      double* losses,
-                                      uint8_t* corrects) const {
-  for (size_t i = 0; i < b.size(); ++i) {
-    const double m = MarginAt(b, i);
-    double coef;
-    predictions[i] = m;
-    losses[i] = LossAndCoef(m, b.label(i), &coef);
-    corrects[i] = CorrectAtMargin(m, b.label(i)) ? 1 : 0;
-  }
 }
 
 // ---------- Logistic regression ----------
@@ -257,20 +141,20 @@ void SoftmaxRegression::InitParams(uint64_t) {
   std::fill(params_.begin(), params_.end(), 0.0);
 }
 
-double SoftmaxRegression::ForwardProbs(const Tuple& t,
+double SoftmaxRegression::ForwardProbs(const RowView& r,
                                        std::vector<double>* probs) const {
   probs->assign(classes_, 0.0);
   // logits_c = W_c · x + b_c
   for (uint32_t c = 0; c < classes_; ++c) {
     const double* w = params_.data() + static_cast<size_t>(c) * dim_;
     double z = params_[static_cast<size_t>(dim_) * classes_ + c];
-    if (t.sparse()) {
-      for (size_t i = 0; i < t.feature_keys.size(); ++i) {
-        z += w[t.feature_keys[i]] * static_cast<double>(t.feature_values[i]);
+    if (r.sparse()) {
+      for (size_t i = 0; i < r.nnz; ++i) {
+        z += w[r.keys[i]] * static_cast<double>(r.values[i]);
       }
     } else {
       for (uint32_t d = 0; d < dim_; ++d) {
-        z += w[d] * static_cast<double>(t.feature_values[d]);
+        z += w[d] * static_cast<double>(r.values[d]);
       }
     }
     (*probs)[c] = z;
@@ -282,7 +166,7 @@ double SoftmaxRegression::ForwardProbs(const Tuple& t,
     sum += p;
   }
   for (double& p : *probs) p /= sum;
-  const auto label = static_cast<uint32_t>(t.label);
+  const auto label = static_cast<uint32_t>(r.label);
   const double py = std::max((*probs)[label], 1e-300);
   return -std::log(py);
 }
@@ -290,26 +174,25 @@ double SoftmaxRegression::ForwardProbs(const Tuple& t,
 // Loss/Predict/Correct/TopKCorrect use local scratch: the serving engine
 // calls them concurrently on one shared snapshot. The member scratch is
 // reserved for the training paths, which own their model instance.
-double SoftmaxRegression::Loss(const Tuple& t) const {
+double SoftmaxRegression::Loss(const RowView& r) const {
   std::vector<double> probs;
-  return ForwardProbs(t, &probs);
+  return ForwardProbs(r, &probs);
 }
 
-double SoftmaxRegression::SgdStep(const Tuple& t, double lr) {
-  const double loss = ForwardProbs(t, &scratch_probs_);
-  const auto label = static_cast<uint32_t>(t.label);
+double SoftmaxRegression::SgdStep(const RowView& r, double lr) {
+  const double loss = ForwardProbs(r, &scratch_probs_);
+  const auto label = static_cast<uint32_t>(r.label);
   for (uint32_t c = 0; c < classes_; ++c) {
     const double coef = scratch_probs_[c] - (c == label ? 1.0 : 0.0);
     if (coef == 0.0) continue;
     double* w = params_.data() + static_cast<size_t>(c) * dim_;
-    if (t.sparse()) {
-      for (size_t i = 0; i < t.feature_keys.size(); ++i) {
-        w[t.feature_keys[i]] -=
-            lr * coef * static_cast<double>(t.feature_values[i]);
+    if (r.sparse()) {
+      for (size_t i = 0; i < r.nnz; ++i) {
+        w[r.keys[i]] -= lr * coef * static_cast<double>(r.values[i]);
       }
     } else {
       for (uint32_t d = 0; d < dim_; ++d) {
-        w[d] -= lr * coef * static_cast<double>(t.feature_values[d]);
+        w[d] -= lr * coef * static_cast<double>(r.values[d]);
       }
     }
     params_[static_cast<size_t>(dim_) * classes_ + c] -= lr * coef;
@@ -317,22 +200,21 @@ double SoftmaxRegression::SgdStep(const Tuple& t, double lr) {
   return loss;
 }
 
-double SoftmaxRegression::AccumulateGrad(const Tuple& t,
+double SoftmaxRegression::AccumulateGrad(const RowView& r,
                                          std::vector<double>* grad) const {
-  const double loss = ForwardProbs(t, &scratch_probs_);
-  const auto label = static_cast<uint32_t>(t.label);
+  const double loss = ForwardProbs(r, &scratch_probs_);
+  const auto label = static_cast<uint32_t>(r.label);
   for (uint32_t c = 0; c < classes_; ++c) {
     const double coef = scratch_probs_[c] - (c == label ? 1.0 : 0.0);
     if (coef == 0.0) continue;
     double* g = grad->data() + static_cast<size_t>(c) * dim_;
-    if (t.sparse()) {
-      for (size_t i = 0; i < t.feature_keys.size(); ++i) {
-        g[t.feature_keys[i]] +=
-            coef * static_cast<double>(t.feature_values[i]);
+    if (r.sparse()) {
+      for (size_t i = 0; i < r.nnz; ++i) {
+        g[r.keys[i]] += coef * static_cast<double>(r.values[i]);
       }
     } else {
       for (uint32_t d = 0; d < dim_; ++d) {
-        g[d] += coef * static_cast<double>(t.feature_values[d]);
+        g[d] += coef * static_cast<double>(r.values[d]);
       }
     }
     (*grad)[static_cast<size_t>(dim_) * classes_ + c] += coef;
@@ -340,21 +222,21 @@ double SoftmaxRegression::AccumulateGrad(const Tuple& t,
   return loss;
 }
 
-double SoftmaxRegression::Predict(const Tuple& t) const {
+double SoftmaxRegression::Predict(const RowView& r) const {
   std::vector<double> probs;
-  ForwardProbs(t, &probs);
+  ForwardProbs(r, &probs);
   return static_cast<double>(
       std::distance(probs.begin(), std::max_element(probs.begin(), probs.end())));
 }
 
-bool SoftmaxRegression::Correct(const Tuple& t) const {
-  return Predict(t) == t.label;
+bool SoftmaxRegression::Correct(const RowView& r) const {
+  return Predict(r) == r.label;
 }
 
-bool SoftmaxRegression::TopKCorrect(const Tuple& t, uint32_t k) const {
+bool SoftmaxRegression::TopKCorrect(const RowView& r, uint32_t k) const {
   std::vector<double> probs;
-  ForwardProbs(t, &probs);
-  const double p_label = probs[static_cast<uint32_t>(t.label)];
+  ForwardProbs(r, &probs);
+  const double p_label = probs[static_cast<uint32_t>(r.label)];
   uint32_t better = 0;
   for (double p : probs) {
     if (p > p_label) ++better;

@@ -16,9 +16,8 @@
 namespace corgipile {
 
 /// Common base for the binary linear models (w ∈ R^dim, bias appended).
-/// Subclasses supply only the loss curve via LossAndCoef(); the SGD step,
-/// gradient accumulation, and the batched arena kernels live here so the
-/// per-tuple and batched paths share one implementation of the math.
+/// Subclasses supply only the loss curve via LossAndCoef(); the SGD step
+/// and gradient accumulation live here, once, over a RowView.
 class BinaryLinearModel : public Model {
  public:
   explicit BinaryLinearModel(uint32_t dim, double l2_reg = 0.0);
@@ -29,49 +28,23 @@ class BinaryLinearModel : public Model {
   const std::vector<double>& params() const override { return params_; }
   void InitParams(uint64_t seed) override;
 
-  double SgdStep(const Tuple& t, double lr) override;
-  double AccumulateGrad(const Tuple& t,
+  double SgdStep(const RowView& r, double lr) override;
+  double AccumulateGrad(const RowView& r,
                         std::vector<double>* grad) const override;
-  double Loss(const Tuple& t) const override;
-
-  // Batched arena kernels: read TupleBatch spans directly (no Tuple
-  // materialization) while replicating the exact floating-point order of
-  // the per-tuple path above.
-  void BatchGradientStep(const TupleBatch& b, double lr,
-                         double* loss_sum) override;
-  void BatchAccumulateGrad(const TupleBatch& b, size_t begin, size_t end,
-                           std::vector<double>* grad,
-                           double* loss_sum) const override;
-  void BatchLoss(const TupleBatch& b, double* loss_sum) const override;
-  void BatchEvaluate(const TupleBatch& b, double* predictions, double* losses,
-                     uint8_t* corrects) const override;
-
-  double Predict(const Tuple& t) const override;  // signed margin
-  bool Correct(const Tuple& t) const override;
+  double Loss(const RowView& r) const override;
+  double Predict(const RowView& r) const override;  // signed margin
+  bool Correct(const RowView& r) const override;
 
  protected:
   /// Loss at margin m for label y; sets *coef = dLoss/dMargin. The one
   /// model-specific piece of math.
   virtual double LossAndCoef(double m, double y, double* coef) const = 0;
-  /// Classification correctness at a precomputed margin (sign test for the
-  /// classifiers; regression overrides to false).
-  virtual bool CorrectAtMargin(double m, double y) const {
-    return (m >= 0 ? 1.0 : -1.0) == y;
-  }
 
-  double Margin(const Tuple& t) const;
-  /// Row margin from batch spans, same accumulation order as Margin().
-  double MarginAt(const TupleBatch& b, size_t i) const;
+  double Margin(const RowView& r) const;
   /// w ← w − lr·(coef·x + l2·w_active); coef is dLoss/dMargin · y-part.
-  void ApplyLinearStep(const Tuple& t, double lr, double coef);
-  /// Span form of ApplyLinearStep, same operation order.
-  void ApplyLinearStepAt(const TupleBatch& b, size_t i, double lr,
-                         double coef);
-  void AccumulateLinear(const Tuple& t, double coef,
+  void ApplyLinearStep(const RowView& r, double lr, double coef);
+  void AccumulateLinear(const RowView& r, double coef,
                         std::vector<double>* grad) const;
-  /// Span form of AccumulateLinear, same operation order.
-  void AccumulateLinearAt(const TupleBatch& b, size_t i, double coef,
-                          std::vector<double>* grad) const;
 
   uint32_t dim_;
   double l2_reg_;
@@ -108,13 +81,11 @@ class LinearRegressionModel : public BinaryLinearModel {
   explicit LinearRegressionModel(uint32_t dim, double l2_reg = 0.0)
       : BinaryLinearModel(dim, l2_reg) {}
   const char* name() const override { return "linreg"; }
-  double Predict(const Tuple& t) const override { return Margin(t); }
-  bool Correct(const Tuple&) const override { return false; }
+  bool Correct(const RowView&) const override { return false; }
   std::unique_ptr<Model> Clone() const override;
 
  protected:
   double LossAndCoef(double m, double y, double* coef) const override;
-  bool CorrectAtMargin(double, double) const override { return false; }
 };
 
 /// Softmax regression over C classes; labels are class ids 0..C−1.
@@ -130,20 +101,20 @@ class SoftmaxRegression : public Model {
   const std::vector<double>& params() const override { return params_; }
   void InitParams(uint64_t seed) override;
 
-  double SgdStep(const Tuple& t, double lr) override;
-  double AccumulateGrad(const Tuple& t,
+  double SgdStep(const RowView& r, double lr) override;
+  double AccumulateGrad(const RowView& r,
                         std::vector<double>* grad) const override;
-  double Loss(const Tuple& t) const override;
-  double Predict(const Tuple& t) const override;  // argmax class id
-  bool Correct(const Tuple& t) const override;
-  bool TopKCorrect(const Tuple& t, uint32_t k) const override;
+  double Loss(const RowView& r) const override;
+  double Predict(const RowView& r) const override;  // argmax class id
+  bool Correct(const RowView& r) const override;
+  bool TopKCorrect(const RowView& r, uint32_t k) const override;
   std::unique_ptr<Model> Clone() const override;
 
   uint32_t num_classes() const { return classes_; }
 
  private:
   /// Fills probs[c]; returns −log p_label.
-  double ForwardProbs(const Tuple& t, std::vector<double>* probs) const;
+  double ForwardProbs(const RowView& r, std::vector<double>* probs) const;
 
   uint32_t dim_;
   uint32_t classes_;

@@ -26,14 +26,14 @@ void MlpModel::InitParams(uint64_t seed) {
   for (size_t i = B2(); i < params_.size(); ++i) params_[i] = 0.0;
 }
 
-double MlpModel::Forward(const Tuple& t, std::vector<double>* hidden_act,
+double MlpModel::Forward(const RowView& r, std::vector<double>* hidden_act,
                          std::vector<double>* probs) const {
   hidden_act->assign(hidden_, 0.0);
   // z1 = W1 x + b1 (sparse- and dense-aware), a1 = relu(z1).
-  if (t.sparse()) {
-    for (size_t i = 0; i < t.feature_keys.size(); ++i) {
-      const uint32_t d = t.feature_keys[i];
-      const double x = static_cast<double>(t.feature_values[i]);
+  if (r.sparse()) {
+    for (size_t i = 0; i < r.nnz; ++i) {
+      const uint32_t d = r.keys[i];
+      const double x = static_cast<double>(r.values[i]);
       const double* w = params_.data() + W1() + static_cast<size_t>(d);
       for (uint32_t h = 0; h < hidden_; ++h) {
         (*hidden_act)[h] += w[static_cast<size_t>(h) * dim_] * x;
@@ -44,7 +44,7 @@ double MlpModel::Forward(const Tuple& t, std::vector<double>* hidden_act,
       const double* w = params_.data() + W1() + static_cast<size_t>(h) * dim_;
       double z = 0.0;
       for (uint32_t d = 0; d < dim_; ++d) {
-        z += w[d] * static_cast<double>(t.feature_values[d]);
+        z += w[d] * static_cast<double>(r.values[d]);
       }
       (*hidden_act)[h] = z;
     }
@@ -68,27 +68,27 @@ double MlpModel::Forward(const Tuple& t, std::vector<double>* hidden_act,
     sum += p;
   }
   for (double& p : *probs) p /= sum;
-  const auto label = static_cast<uint32_t>(t.label);
+  const auto label = static_cast<uint32_t>(r.label);
   return -std::log(std::max((*probs)[label], 1e-300));
 }
 
 // Loss/Predict/Correct/TopKCorrect use local scratch: the serving engine
 // calls them concurrently on one shared snapshot. The member scratch is
 // reserved for the training paths, which own their model instance.
-double MlpModel::Loss(const Tuple& t) const {
+double MlpModel::Loss(const RowView& r) const {
   std::vector<double> hidden, probs;
-  return Forward(t, &hidden, &probs);
+  return Forward(r, &hidden, &probs);
 }
 
 namespace {
 // Shared backward pass: given activations/probabilities, writes the update
 // either directly into params (apply_fn) or into a gradient accumulator.
 template <typename Sink>
-void Backward(const Tuple& t, uint32_t dim, uint32_t hidden, uint32_t classes,
+void Backward(const RowView& r, uint32_t dim, uint32_t hidden, uint32_t classes,
               const std::vector<double>& params, size_t w1, size_t b1,
               size_t w2, size_t b2, const std::vector<double>& hidden_act,
               const std::vector<double>& probs, Sink&& sink) {
-  const auto label = static_cast<uint32_t>(t.label);
+  const auto label = static_cast<uint32_t>(r.label);
   // dz2_c = p_c − 1{c == y}. Backpropagate through the (pre-update) W2
   // first, then emit the W2/b2 updates.
   std::vector<double> dhidden(hidden, 0.0);
@@ -112,10 +112,10 @@ void Backward(const Tuple& t, uint32_t dim, uint32_t hidden, uint32_t classes,
   for (uint32_t h = 0; h < hidden; ++h) {
     if (hidden_act[h] <= 0.0) dhidden[h] = 0.0;
   }
-  if (t.sparse()) {
-    for (size_t i = 0; i < t.feature_keys.size(); ++i) {
-      const uint32_t d = t.feature_keys[i];
-      const double x = static_cast<double>(t.feature_values[i]);
+  if (r.sparse()) {
+    for (size_t i = 0; i < r.nnz; ++i) {
+      const uint32_t d = r.keys[i];
+      const double x = static_cast<double>(r.values[i]);
       for (uint32_t h = 0; h < hidden; ++h) {
         if (dhidden[h] != 0.0) {
           sink(w1 + static_cast<size_t>(h) * dim + d, dhidden[h] * x);
@@ -127,7 +127,7 @@ void Backward(const Tuple& t, uint32_t dim, uint32_t hidden, uint32_t classes,
       if (dhidden[h] == 0.0) continue;
       const size_t base = w1 + static_cast<size_t>(h) * dim;
       for (uint32_t d = 0; d < dim; ++d) {
-        sink(base + d, dhidden[h] * static_cast<double>(t.feature_values[d]));
+        sink(base + d, dhidden[h] * static_cast<double>(r.values[d]));
       }
     }
   }
@@ -137,36 +137,36 @@ void Backward(const Tuple& t, uint32_t dim, uint32_t hidden, uint32_t classes,
 }
 }  // namespace
 
-double MlpModel::SgdStep(const Tuple& t, double lr) {
-  const double loss = Forward(t, &scratch_hidden_, &scratch_probs_);
-  Backward(t, dim_, hidden_, classes_, params_, W1(), B1(), W2(), B2(),
+double MlpModel::SgdStep(const RowView& r, double lr) {
+  const double loss = Forward(r, &scratch_hidden_, &scratch_probs_);
+  Backward(r, dim_, hidden_, classes_, params_, W1(), B1(), W2(), B2(),
            scratch_hidden_, scratch_probs_,
            [this, lr](size_t i, double g) { params_[i] -= lr * g; });
   return loss;
 }
 
-double MlpModel::AccumulateGrad(const Tuple& t,
+double MlpModel::AccumulateGrad(const RowView& r,
                                 std::vector<double>* grad) const {
-  const double loss = Forward(t, &scratch_hidden_, &scratch_probs_);
-  Backward(t, dim_, hidden_, classes_, params_, W1(), B1(), W2(), B2(),
+  const double loss = Forward(r, &scratch_hidden_, &scratch_probs_);
+  Backward(r, dim_, hidden_, classes_, params_, W1(), B1(), W2(), B2(),
            scratch_hidden_, scratch_probs_,
            [grad](size_t i, double g) { (*grad)[i] += g; });
   return loss;
 }
 
-double MlpModel::Predict(const Tuple& t) const {
+double MlpModel::Predict(const RowView& r) const {
   std::vector<double> hidden, probs;
-  Forward(t, &hidden, &probs);
+  Forward(r, &hidden, &probs);
   return static_cast<double>(
       std::distance(probs.begin(), std::max_element(probs.begin(), probs.end())));
 }
 
-bool MlpModel::Correct(const Tuple& t) const { return Predict(t) == t.label; }
+bool MlpModel::Correct(const RowView& r) const { return Predict(r) == r.label; }
 
-bool MlpModel::TopKCorrect(const Tuple& t, uint32_t k) const {
+bool MlpModel::TopKCorrect(const RowView& r, uint32_t k) const {
   std::vector<double> hidden, probs;
-  Forward(t, &hidden, &probs);
-  const double p_label = probs[static_cast<uint32_t>(t.label)];
+  Forward(r, &hidden, &probs);
+  const double p_label = probs[static_cast<uint32_t>(r.label)];
   uint32_t better = 0;
   for (double p : probs) {
     if (p > p_label) ++better;

@@ -23,13 +23,13 @@ class MlpModel : public Model {
   const std::vector<double>& params() const override { return params_; }
   void InitParams(uint64_t seed) override;
 
-  double SgdStep(const Tuple& t, double lr) override;
-  double AccumulateGrad(const Tuple& t,
+  double SgdStep(const RowView& r, double lr) override;
+  double AccumulateGrad(const RowView& r,
                         std::vector<double>* grad) const override;
-  double Loss(const Tuple& t) const override;
-  double Predict(const Tuple& t) const override;  // argmax class id
-  bool Correct(const Tuple& t) const override;
-  bool TopKCorrect(const Tuple& t, uint32_t k) const override;
+  double Loss(const RowView& r) const override;
+  double Predict(const RowView& r) const override;  // argmax class id
+  bool Correct(const RowView& r) const override;
+  bool TopKCorrect(const RowView& r, uint32_t k) const override;
   std::unique_ptr<Model> Clone() const override;
 
   uint32_t hidden_dim() const { return hidden_; }
@@ -44,7 +44,7 @@ class MlpModel : public Model {
 
   /// Forward pass; fills hidden activations and class probabilities;
   /// returns −log p_label.
-  double Forward(const Tuple& t, std::vector<double>* hidden_act,
+  double Forward(const RowView& r, std::vector<double>* hidden_act,
                  std::vector<double>* probs) const;
 
   uint32_t dim_;

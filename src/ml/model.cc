@@ -2,46 +2,30 @@
 
 namespace corgipile {
 
-// Default batch kernels: materialize each row into a scratch Tuple (reusing
-// its capacity) and run the per-tuple method. Math and update order are
-// trivially identical to the per-tuple path; overriding models must keep
-// that property.
-
 void Model::BatchGradientStep(const TupleBatch& b, double lr,
                               double* loss_sum) {
-  Tuple scratch;
-  for (size_t i = 0; i < b.size(); ++i) {
-    b.MaterializeTo(i, &scratch);
-    *loss_sum += SgdStep(scratch, lr);
-  }
+  for (size_t i = 0; i < b.size(); ++i) *loss_sum += SgdStep(b.row(i), lr);
 }
 
 void Model::BatchAccumulateGrad(const TupleBatch& b, size_t begin, size_t end,
                                 std::vector<double>* grad,
                                 double* loss_sum) const {
-  Tuple scratch;
   for (size_t i = begin; i < end; ++i) {
-    b.MaterializeTo(i, &scratch);
-    *loss_sum += AccumulateGrad(scratch, grad);
+    *loss_sum += AccumulateGrad(b.row(i), grad);
   }
 }
 
 void Model::BatchLoss(const TupleBatch& b, double* loss_sum) const {
-  Tuple scratch;
-  for (size_t i = 0; i < b.size(); ++i) {
-    b.MaterializeTo(i, &scratch);
-    *loss_sum += Loss(scratch);
-  }
+  for (size_t i = 0; i < b.size(); ++i) *loss_sum += Loss(b.row(i));
 }
 
 void Model::BatchEvaluate(const TupleBatch& b, double* predictions,
                           double* losses, uint8_t* corrects) const {
-  Tuple scratch;
   for (size_t i = 0; i < b.size(); ++i) {
-    b.MaterializeTo(i, &scratch);
-    predictions[i] = Predict(scratch);
-    losses[i] = Loss(scratch);
-    corrects[i] = Correct(scratch) ? 1 : 0;
+    const RowView r = b.row(i);
+    predictions[i] = Predict(r);
+    losses[i] = Loss(r);
+    corrects[i] = Correct(r) ? 1 : 0;
   }
 }
 

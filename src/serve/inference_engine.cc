@@ -15,11 +15,11 @@ constexpr size_t kDispatchRows = TupleBatch::kDefaultTargetTuples;
 /// Does a row with these features fit a model built for
 /// `model.input_dim()` inputs? (0 = unknown dimensionality, accept.)
 /// Guards the Dot() contract instead of reading past the weight vector.
-bool Fits(const uint32_t* keys, size_t nnz, const Model& model) {
+bool Fits(const RowView& r, const Model& model) {
   const uint32_t dim = model.input_dim();
   if (dim == 0) return true;
-  if (keys != nullptr && nnz > 0) return keys[nnz - 1] < dim;
-  return nnz <= dim;
+  if (r.sparse() && r.nnz > 0) return r.keys[r.nnz - 1] < dim;
+  return r.nnz <= dim;
 }
 
 /// Moves the fields every row of a submission shares out of a
@@ -156,27 +156,9 @@ void InferenceEngine::Complete(Submission* sub) {
   }
 }
 
-size_t InferenceEngine::RowWidth(const RowRef& ref) {
-  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) return t->nnz();
-  return std::get<TupleBatch>(ref.sub->rows).nnz(ref.row);
-}
-
-bool InferenceEngine::RowFits(const RowRef& ref, const Model& model) {
-  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) {
-    return t->sparse()
-               ? Fits(t->feature_keys.data(), t->feature_keys.size(), model)
-               : Fits(nullptr, t->nnz(), model);
-  }
-  const TupleBatch& rows = std::get<TupleBatch>(ref.sub->rows);
-  return Fits(rows.keys(ref.row), rows.nnz(ref.row), model);
-}
-
-void InferenceEngine::AppendRow(const RowRef& ref, TupleBatch* out) {
-  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) {
-    out->Append(*t);
-  } else {
-    out->AppendFrom(std::get<TupleBatch>(ref.sub->rows), ref.row);
-  }
+RowView InferenceEngine::Row(const RowRef& ref) {
+  if (const Tuple* t = std::get_if<Tuple>(&ref.sub->rows)) return *t;
+  return std::get<TupleBatch>(ref.sub->rows).row(ref.row);
 }
 
 void InferenceEngine::SchedulerLoop() {
@@ -487,7 +469,7 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
                                          "s deadline"));
       continue;
     }
-    if (!RowFits(ref, *snapshot->model)) {
+    if (!Fits(Row(ref), *snapshot->model)) {
       {
         MutexLock lock(stats_mu_);
         stats_.RecordFailed();
@@ -507,8 +489,8 @@ void InferenceEngine::CloseOpenBatch(double close_s, bool by_deadline) {
   Batch batch;
   batch.model_id = open_model_id_;
   batch.tuples.set_target_tuples(run.size());
-  batch.tuples.Reserve(run.size(), RowWidth(run.front()));
-  for (const RowRef& ref : run) AppendRow(ref, &batch.tuples);
+  batch.tuples.Reserve(run.size(), Row(run.front()).nnz);
+  for (const RowRef& ref : run) batch.tuples.Append(Row(ref));
 
   // Canary routing (DESIGN.md §13). A brownout batch never canaries: it is
   // already serving degraded, and its "incumbent" is a stale snapshot.
@@ -587,8 +569,8 @@ void InferenceEngine::RunBatch(const Batch& batch, std::vector<double>* values,
   values->resize(n);
   losses->resize(n);
   corrects->resize(n);
-  // One batched kernel call per micro-batch; BatchEvaluate is const and
-  // thread-safe on the shared snapshot.
+  // One BatchEvaluate call per micro-batch; it is const and thread-safe on
+  // the shared snapshot.
   batch.model->BatchEvaluate(batch.tuples, values->data(), losses->data(),
                              corrects->data());
   // Per-version quality: summed row-major here (deterministic within the

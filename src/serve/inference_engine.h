@@ -257,8 +257,8 @@ class InferenceEngine {
     bool canary = false;
     double completion_s = 0.0;
     /// Admitted rows packed into one arena; row i belongs to rows[i].
-    /// Workers evaluate the whole batch with Model::BatchEvaluate instead
-    /// of per-row Predict/Loss/Correct calls.
+    /// Workers evaluate the whole batch with one Model::BatchEvaluate
+    /// call.
     TupleBatch tuples;
     std::vector<RowRef> rows;
     /// Keeps every submission referenced by `rows` alive.
@@ -290,12 +290,8 @@ class InferenceEngine {
   /// Marks `rows` rows of `sub` answered; the last one completes it.
   void Resolve(Submission* sub, uint32_t rows);
   void Complete(Submission* sub);
-  /// Does the row's feature space fit `model`? (TupleFits on the row.)
-  static bool RowFits(const RowRef& ref, const Model& model);
-  /// Feature count of the row (sizes a micro-batch arena).
-  static size_t RowWidth(const RowRef& ref);
-  /// Packs the row into a micro-batch arena.
-  static void AppendRow(const RowRef& ref, TupleBatch* out);
+  /// The referenced row, whichever form its submission holds.
+  static RowView Row(const RowRef& ref);
   /// Resolves the snapshot serving the open batch, applying the breaker /
   /// bounded-retry layers (scheduler thread only). On success also updates
   /// the last-good map and resets the model's breaker on a version change.

@@ -22,32 +22,6 @@ bool ReadRaw(const uint8_t* data, size_t size, size_t* pos, T* v) {
 
 }  // namespace
 
-double Tuple::Dot(const std::vector<double>& w) const {
-  double acc = 0.0;
-  if (sparse()) {
-    for (size_t i = 0; i < feature_keys.size(); ++i) {
-      acc += w[feature_keys[i]] * static_cast<double>(feature_values[i]);
-    }
-  } else {
-    for (size_t i = 0; i < feature_values.size(); ++i) {
-      acc += w[i] * static_cast<double>(feature_values[i]);
-    }
-  }
-  return acc;
-}
-
-void Tuple::AxpyInto(double scale, std::vector<double>* w) const {
-  if (sparse()) {
-    for (size_t i = 0; i < feature_keys.size(); ++i) {
-      (*w)[feature_keys[i]] += scale * static_cast<double>(feature_values[i]);
-    }
-  } else {
-    for (size_t i = 0; i < feature_values.size(); ++i) {
-      (*w)[i] += scale * static_cast<double>(feature_values[i]);
-    }
-  }
-}
-
 double Tuple::SquaredNorm() const {
   double acc = 0.0;
   for (float v : feature_values) acc += static_cast<double>(v) * v;

@@ -1,4 +1,5 @@
-// Training tuple: id, (sparse or dense) feature vector, label.
+// Training tuple: id, (sparse or dense) feature vector, label; and RowView,
+// the non-owning view of one that every model kernel reads.
 
 #pragma once
 
@@ -22,13 +23,6 @@ struct Tuple {
   bool sparse() const { return !feature_keys.empty(); }
   size_t nnz() const { return feature_values.size(); }
 
-  /// Dot product with a dense weight vector. For dense tuples `w` must have
-  /// at least nnz() entries; for sparse tuples at least max(key)+1.
-  double Dot(const std::vector<double>& w) const;
-
-  /// w += scale * x (gradient scatter).
-  void AxpyInto(double scale, std::vector<double>* w) const;
-
   /// Squared L2 norm of the feature vector.
   double SquaredNorm() const;
 
@@ -48,6 +42,58 @@ struct Tuple {
   bool operator==(const Tuple& o) const {
     return id == o.id && label == o.label && feature_keys == o.feature_keys &&
            feature_values == o.feature_values;
+  }
+};
+
+/// Non-owning view of one training example: a Tuple, or one row of a
+/// TupleBatch (TupleBatch::row). `keys` is nullptr for a dense row, whose
+/// values[i] is dimension i; a sparse row stores its nonzero dimensions in
+/// keys[0..nnz) (strictly increasing). Valid as long as the viewed storage.
+struct RowView {
+  uint64_t id = 0;
+  double label = 0.0;
+  const uint32_t* keys = nullptr;
+  const float* values = nullptr;
+  size_t nnz = 0;
+
+  RowView(uint64_t id, double label, const uint32_t* keys, const float* values,
+          size_t nnz)
+      : id(id), label(label), keys(keys), values(values), nnz(nnz) {}
+  /// Implicit, so every per-row model call accepts a Tuple unchanged.
+  RowView(const Tuple& t)
+      : RowView(t.id, t.label, t.sparse() ? t.feature_keys.data() : nullptr,
+                t.feature_values.data(), t.feature_values.size()) {}
+
+  bool sparse() const { return keys != nullptr; }
+
+  /// Dot product with a dense weight vector. For dense rows `w` must have
+  /// at least nnz entries; for sparse rows at least max(key)+1. Inline:
+  /// this and AxpyInto are the inner loops of every linear model.
+  double Dot(const std::vector<double>& w) const {
+    double acc = 0.0;
+    if (sparse()) {
+      for (size_t i = 0; i < nnz; ++i) {
+        acc += w[keys[i]] * static_cast<double>(values[i]);
+      }
+    } else {
+      for (size_t i = 0; i < nnz; ++i) {
+        acc += w[i] * static_cast<double>(values[i]);
+      }
+    }
+    return acc;
+  }
+
+  /// w += scale * x (gradient scatter).
+  void AxpyInto(double scale, std::vector<double>* w) const {
+    if (sparse()) {
+      for (size_t i = 0; i < nnz; ++i) {
+        (*w)[keys[i]] += scale * static_cast<double>(values[i]);
+      }
+    } else {
+      for (size_t i = 0; i < nnz; ++i) {
+        (*w)[i] += scale * static_cast<double>(values[i]);
+      }
+    }
   }
 };
 

@@ -26,13 +26,6 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// A no-op sink so disabled levels do not evaluate the stream.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) { return *this; }
-};
-
 }  // namespace internal
 
 #define CORGI_LOG(level)                                              \
@@ -41,13 +34,5 @@ class NullStream {
     ::corgipile::internal::LogMessage(::corgipile::LogLevel::level,   \
                                       __FILE__, __LINE__)             \
         .stream()
-
-#define CORGI_DCHECK(cond)                                                 \
-  if (cond) {                                                              \
-  } else                                                                   \
-    ::corgipile::internal::LogMessage(::corgipile::LogLevel::kError,       \
-                                      __FILE__, __LINE__)                  \
-        .stream()                                                          \
-        << "DCHECK failed: " #cond " "
 
 }  // namespace corgipile

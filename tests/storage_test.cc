@@ -58,16 +58,16 @@ TEST(TupleTest, DeserializeTruncatedFails) {
 TEST(TupleTest, DotAndAxpy) {
   Tuple dense = MakeDenseTuple(0, 1.0, {1.0f, 2.0f, 3.0f});
   std::vector<double> w{1.0, 1.0, 1.0, 99.0};  // extra bias slot untouched
-  EXPECT_DOUBLE_EQ(dense.Dot(w), 6.0);
-  dense.AxpyInto(2.0, &w);
+  EXPECT_DOUBLE_EQ(RowView(dense).Dot(w), 6.0);
+  RowView(dense).AxpyInto(2.0, &w);
   EXPECT_DOUBLE_EQ(w[0], 3.0);
   EXPECT_DOUBLE_EQ(w[2], 7.0);
   EXPECT_DOUBLE_EQ(w[3], 99.0);
 
   Tuple sparse = MakeSparseTuple(0, 1.0, {0, 2}, {2.0f, 4.0f});
   std::vector<double> w2{1.0, 5.0, 1.0};
-  EXPECT_DOUBLE_EQ(sparse.Dot(w2), 6.0);
-  sparse.AxpyInto(1.0, &w2);
+  EXPECT_DOUBLE_EQ(RowView(sparse).Dot(w2), 6.0);
+  RowView(sparse).AxpyInto(1.0, &w2);
   EXPECT_DOUBLE_EQ(w2[0], 3.0);
   EXPECT_DOUBLE_EQ(w2[1], 5.0);
   EXPECT_DOUBLE_EQ(w2[2], 5.0);
