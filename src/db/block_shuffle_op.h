@@ -5,6 +5,12 @@
 // (the heapgetpage() analog is TableSnapshot::ReadTuplesFromPages). With
 // shuffle_blocks = false it degenerates into PostgreSQL's sequential Scan.
 //
+// A block's pages are decoded straight into one TupleBatch that the
+// operator keeps for its whole life: Clear() keeps the arenas, so once the
+// largest block has been seen a block load allocates nothing per tuple.
+// NextBatch copies contiguous row runs from that arena into the caller's
+// batch, one bulk copy per arena (TupleBatch::AppendRows).
+//
 // Sharded tables (DESIGN.md §14): the op reads through a ShardedSnapshot
 // captured before the epoch loop, so concurrent inserts never shift its
 // block geometry. Global block ids enumerate shard-major — all of shard
@@ -44,7 +50,7 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   Status Init() override;
   const Tuple* Next() override;
   /// Native batched fill: copies whole runs of the decoded block into the
-  /// batch arena.
+  /// batch arena, arena to arena.
   bool NextBatch(TupleBatch* out) override;
   Status ReScan() override;
   /// Epoch jump without data reads: the block order of epoch e is a pure
@@ -74,8 +80,10 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   std::vector<BlockRef> blocks_;
   std::vector<uint32_t> block_order_;
   size_t next_block_ = 0;
-  std::vector<Tuple> current_block_;
+  /// The decoded block being served; reused across blocks and epochs.
+  TupleBatch current_block_;
   size_t pos_ = 0;
+  Tuple scratch_;  // materialization target for the per-tuple Next()
   uint64_t epoch_ = 0;
   bool initialized_ = false;
 };

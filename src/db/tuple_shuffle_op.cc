@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "iosim/fault_plane.h"
 #include "util/timer.h"
@@ -43,7 +44,7 @@ std::optional<TupleShuffleOp::Batch> TupleShuffleOp::FillBatch() {
       return std::nullopt;
     }
   }
-  Batch batch;
+  Batch batch = TakeSpare();
   batch.tuples.set_target_tuples(options_.buffer_tuples);
   const double io_before = IoElapsed();
   WallTimer timer;
@@ -57,7 +58,10 @@ std::optional<TupleShuffleOp::Batch> TupleShuffleOp::FillBatch() {
       status_ = st;
     }
   }
-  if (!got) return std::nullopt;
+  if (!got) {
+    Recycle(std::move(batch));
+    return std::nullopt;
+  }
   if (options_.shuffle_tuples) {
     batch.perm.resize(batch.tuples.size());
     std::iota(batch.perm.begin(), batch.perm.end(), 0u);
@@ -71,6 +75,24 @@ std::optional<TupleShuffleOp::Batch> TupleShuffleOp::FillBatch() {
          !peak_buffer_.compare_exchange_weak(prev, batch.tuples.size())) {
   }
   return batch;
+}
+
+void TupleShuffleOp::Recycle(Batch batch) {
+  MutexLock lock(spare_mu_);
+  if (spares_.size() < kMaxSpareBatches) spares_.push_back(std::move(batch));
+}
+
+TupleShuffleOp::Batch TupleShuffleOp::TakeSpare() {
+  MutexLock lock(spare_mu_);
+  if (spares_.empty()) return Batch();
+  Batch batch = std::move(spares_.back());
+  spares_.pop_back();
+  return batch;
+}
+
+size_t TupleShuffleOp::spare_batches() const {
+  MutexLock lock(spare_mu_);
+  return spares_.size();
 }
 
 void TupleShuffleOp::StartProducer() {
@@ -120,6 +142,8 @@ bool TupleShuffleOp::AdvanceBatch() {
     timeline_.AddBatch(current_.fill_seconds, consume_acc_);
     consume_acc_ = 0.0;
     have_batch_ = false;
+    // The served batch is drained: its arenas go to the next fill.
+    Recycle(std::exchange(current_, Batch()));
   }
   if (options_.double_buffer) {
     Batch next;
@@ -192,10 +216,10 @@ Status TupleShuffleOp::ReScan() {
   if (have_batch_) {
     timeline_.AddBatch(current_.fill_seconds, consume_acc_);
     have_batch_ = false;
+    Recycle(std::exchange(current_, Batch()));
   }
   consume_acc_ = 0.0;
   consume_timer_.reset();
-  current_ = Batch{};
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->ReScan());
   ++epoch_;
@@ -213,10 +237,10 @@ Status TupleShuffleOp::SkipEpochs(uint64_t n) {
   // Joining the producer discards any epoch-state batches it pre-filled
   // and hands child_/epoch_rng_ ownership back to this thread.
   StopProducer();
+  if (have_batch_) Recycle(std::exchange(current_, Batch()));
   have_batch_ = false;
   consume_acc_ = 0.0;
   consume_timer_.reset();
-  current_ = Batch{};
   pos_ = 0;
   CORGI_RETURN_NOT_OK(child_->SkipEpochs(n));
   epoch_ += n;
@@ -231,8 +255,12 @@ Status TupleShuffleOp::SkipEpochs(uint64_t n) {
 
 void TupleShuffleOp::Close() {
   StopProducer();
-  current_ = Batch{};
+  current_ = Batch();
   have_batch_ = false;
+  {
+    MutexLock lock(spare_mu_);
+    spares_.clear();
+  }
   if (child_ != nullptr) child_->Close();
 }
 

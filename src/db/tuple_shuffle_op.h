@@ -24,8 +24,16 @@
 // FillBatch caller while it runs (it owns child_ and rng_); ReScan/Close/
 // the destructor cancel + join it before touching any of that state, which
 // is also the synchronization point handing child_/rng_ back to the
-// consumer thread. status_ is the only state shared while both threads are
-// live (guarded by status_mu_); peak_buffer_ is atomic.
+// consumer thread. While both threads are live they share only status_
+// (guarded by status_mu_), the spare-batch pool (guarded by spare_mu_) and
+// the atomic peak_buffer_.
+//
+// Staging arenas are recycled: a drained batch goes back to a small spare
+// pool and the next fill takes it from there, so after the first fills no
+// buffer fill regrows (or page-faults) its arenas. With double buffering
+// at most two batches hold tuples at once — the one being served and the
+// one being filled or waiting in the channel — and the pool keeps at most
+// kMaxSpareBatches more.
 //
 // The operator also records a PipelineTimeline: per buffer, the fill cost
 // (simulated I/O + decompression read through the child, plus real
@@ -92,6 +100,10 @@ class TupleShuffleOp : public PhysicalOperator {
 
   uint64_t peak_buffer_tuples() const { return peak_buffer_.load(); }
 
+  /// Drained staging batches waiting to be refilled (≤ kMaxSpareBatches).
+  size_t spare_batches() const;
+  static constexpr size_t kMaxSpareBatches = 2;
+
   /// Forwarded from the child. With double buffering these are only stable
   /// once the producer has drained (end of epoch / after Next() returned
   /// nullptr), which is when SgdOp reads them.
@@ -110,10 +122,16 @@ class TupleShuffleOp : public PhysicalOperator {
   };
 
   double IoElapsed() const;
-  /// Pulls from the child until `buffer_tuples` tuples or end; returns an
-  /// empty optional at end-of-scan. Must only be called by the thread that
-  /// currently owns child_/rng_ (see the ownership note above).
+  /// Pulls from the child until `buffer_tuples` tuples or end, into a
+  /// recycled batch when one is spare; returns an empty optional at
+  /// end-of-scan. Must only be called by the thread that currently owns
+  /// child_/rng_ (see the ownership note above).
   std::optional<Batch> FillBatch();
+
+  /// Hands a drained batch back for a later fill (dropped past the cap).
+  void Recycle(Batch batch);
+  /// A spare batch, or a fresh one when the pool is empty.
+  Batch TakeSpare();
 
   void StartProducer();
   /// Cancels the channel and joins the producer. Safe to call when no
@@ -152,6 +170,8 @@ class TupleShuffleOp : public PhysicalOperator {
   std::atomic<uint64_t> peak_buffer_{0};
   mutable Mutex status_mu_;
   Status status_ CORGI_GUARDED_BY(status_mu_);
+  mutable Mutex spare_mu_;
+  std::vector<Batch> spares_ CORGI_GUARDED_BY(spare_mu_);
 };
 
 }  // namespace corgipile

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -76,27 +77,57 @@ class TupleBatch {
   }
 
   void AppendDense(uint64_t id, double label, const float* values, size_t n) {
-    if (empty()) {
-      uniform_dim_ = n;
-    } else if (uniform_dense_ && n != uniform_dim_) {
-      uniform_dense_ = false;
-    }
-    ids_.push_back(id);
-    labels_.push_back(label);
+    NoteRow(id, label, false, n);
     values_.insert(values_.end(), values, values + n);
-    value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
-    key_offsets_.push_back(key_offsets_.back());
+    EndRow();
   }
 
   void AppendSparse(uint64_t id, double label, const uint32_t* keys,
                     const float* values, size_t nnz) {
-    uniform_dense_ = false;
-    ids_.push_back(id);
-    labels_.push_back(label);
+    NoteRow(id, label, true, nnz);
     values_.insert(values_.end(), values, values + nnz);
     keys_.insert(keys_.end(), keys, keys + nnz);
-    value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
-    key_offsets_.push_back(static_cast<uint32_t>(keys_.size()));
+    EndRow();
+  }
+
+  /// Appends one serialized tuple (storage/tuple.h), copying its unaligned
+  /// key and value bytes straight into the arenas: the arena is the first
+  /// aligned home of a row decoded from a page.
+  void Append(const WireTuple& w) {
+    const bool sparse = w.keys != nullptr;
+    NoteRow(w.id, w.label, sparse, w.nnz);
+    const size_t v0 = values_.size();
+    values_.resize(v0 + w.nnz);
+    if (w.nnz > 0) {
+      std::memcpy(values_.data() + v0, w.values, w.nnz * sizeof(float));
+    }
+    if (sparse) {  // implies nnz > 0
+      const size_t k0 = keys_.size();
+      keys_.resize(k0 + w.nnz);
+      std::memcpy(keys_.data() + k0, w.keys, w.nnz * sizeof(uint32_t));
+    }
+    EndRow();
+  }
+
+  /// Copies rows [first, first + count) of `src` onto the end of this
+  /// batch. Their values (and keys) are one contiguous span of each source
+  /// arena, so this is one bulk copy per arena.
+  void AppendRows(const TupleBatch& src, size_t first, size_t count) {
+    if (count == 0) return;
+    const size_t end = first + count;
+    const uint32_t v0 = src.value_offsets_[first];
+    const uint32_t k0 = src.key_offsets_[first];
+    const auto v_base = static_cast<uint32_t>(values_.size());
+    const auto k_base = static_cast<uint32_t>(keys_.size());
+    for (size_t i = first; i < end; ++i) {
+      NoteRow(src.ids_[i], src.labels_[i], src.sparse(i), src.nnz(i));
+      value_offsets_.push_back(v_base + (src.value_offsets_[i + 1] - v0));
+      key_offsets_.push_back(k_base + (src.key_offsets_[i + 1] - k0));
+    }
+    values_.insert(values_.end(), src.values_.begin() + v0,
+                   src.values_.begin() + src.value_offsets_[end]);
+    keys_.insert(keys_.end(), src.keys_.begin() + k0,
+                 src.keys_.begin() + src.key_offsets_[end]);
   }
 
   uint64_t id(size_t i) const { return ids_[i]; }
@@ -151,6 +182,26 @@ class TupleBatch {
   }
 
  private:
+  /// Starts a row: updates the uniform-dense bookkeeping (before the row
+  /// counts toward size()) and records its id and label.
+  void NoteRow(uint64_t id, double label, bool sparse, size_t n) {
+    if (sparse) {
+      uniform_dense_ = false;
+    } else if (empty()) {
+      uniform_dim_ = n;
+    } else if (uniform_dense_ && n != uniform_dim_) {
+      uniform_dense_ = false;
+    }
+    ids_.push_back(id);
+    labels_.push_back(label);
+  }
+
+  /// Closes the row NoteRow started, after its values/keys were appended.
+  void EndRow() {
+    value_offsets_.push_back(static_cast<uint32_t>(values_.size()));
+    key_offsets_.push_back(static_cast<uint32_t>(keys_.size()));
+  }
+
   size_t target_tuples_;
   std::vector<uint64_t> ids_;
   std::vector<double> labels_;

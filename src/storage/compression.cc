@@ -1,5 +1,7 @@
 #include "storage/compression.h"
 
+#include <cstring>
+
 namespace corgipile {
 
 void CompressBytes(const std::vector<uint8_t>& input,
@@ -34,20 +36,46 @@ void CompressBytes(const std::vector<uint8_t>& input,
 
 Status DecompressBytes(const uint8_t* data, size_t size,
                        std::vector<uint8_t>* out) {
-  out->clear();
+  // One pass straight into *out. Its current size is reused as writable
+  // room and trimmed to the output length at the end, so decoding a stream
+  // of similar records into one vector neither reallocates nor re-zeroes
+  // it; growth zero-fills only the few bytes beyond the previous output.
+  constexpr size_t kFixed = 16;  // runs up to this length use one store
+  uint8_t* dst = out->data();
+  size_t room = out->size();
+  size_t o = 0;
   size_t i = 0;
   while (i < size) {
     const uint8_t c = data[i++];
-    if (c & 0x80) {
-      const size_t run = (c & 0x7F) + 1u;
-      out->insert(out->end(), run, 0);
-    } else {
-      const size_t run = c + 1u;
-      if (i + run > size) return Status::Corruption("truncated literal run");
-      out->insert(out->end(), data + i, data + i + run);
-      i += run;
+    const size_t run = (c & 0x7Fu) + 1u;
+    const bool literal = (c & 0x80) == 0;
+    if (literal && run > size - i) {
+      out->resize(o);
+      return Status::Corruption("truncated literal run");
     }
+    if (o + run > room) {
+      out->resize(o + run + 2 * kFixed);
+      dst = out->data();
+      room = out->size();
+    }
+    // Fixed-width stores overrun the run, never the buffers: the bytes past
+    // it are overwritten by the next run or trimmed below.
+    const bool fixed = run <= kFixed && o + kFixed <= room;
+    if (literal) {
+      if (fixed && kFixed <= size - i) {
+        std::memcpy(dst + o, data + i, kFixed);
+      } else {
+        std::memcpy(dst + o, data + i, run);
+      }
+      i += run;
+    } else if (fixed) {
+      std::memset(dst + o, 0, kFixed);
+    } else {
+      std::memset(dst + o, 0, run);
+    }
+    o += run;
   }
+  out->resize(o);
   return Status::OK();
 }
 

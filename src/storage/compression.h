@@ -27,7 +27,9 @@ inline constexpr double kDecompressBandwidthBytesPerS = 130.0 * 1024 * 1024;
 void CompressBytes(const std::vector<uint8_t>& input,
                    std::vector<uint8_t>* out);
 
-/// Decompresses; returns Corruption on malformed input.
+/// Decompresses into *out (replacing its contents). Reusing one `out`
+/// across calls is the fast form: its storage is written in place. Returns
+/// Corruption on a literal run that overruns the input.
 Status DecompressBytes(const uint8_t* data, size_t size,
                        std::vector<uint8_t>* out);
 

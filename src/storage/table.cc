@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "storage/compression.h"
 
@@ -32,9 +33,18 @@ uint32_t TableSnapshot::TuplesInPage(uint64_t p) const {
 }
 
 Status TableSnapshot::ReadTuplesFromPages(uint64_t first, uint64_t count,
-                                          std::vector<Tuple>* out) const {
+                                          TupleBatch* out) const {
   if (table_ == nullptr) return Status::Internal("empty snapshot");
   return table_->ReadTuplesFromPagesBounded(*index_, first, count, out);
+}
+
+Status TableSnapshot::ReadTuplesFromPages(uint64_t first, uint64_t count,
+                                          std::vector<Tuple>* out) const {
+  TupleBatch rows;
+  const Status st = ReadTuplesFromPages(first, count, &rows);
+  out->reserve(out->size() + rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out->push_back(rows.ToTuple(i));
+  return st;
 }
 
 Result<Tuple> TableSnapshot::ReadTupleAt(uint64_t idx) const {
@@ -45,11 +55,13 @@ Result<Tuple> TableSnapshot::ReadTupleAt(uint64_t idx) const {
 Status TableSnapshot::Scan(
     const std::function<Status(const Tuple&)>& fn) const {
   if (table_ == nullptr) return Status::Internal("empty snapshot");
-  std::vector<Tuple> tuples;
+  TupleBatch rows;
+  Tuple t;
   for (uint64_t p = 0; p < num_pages(); ++p) {
-    tuples.clear();
-    CORGI_RETURN_NOT_OK(ReadTuplesFromPages(p, 1, &tuples));
-    for (const Tuple& t : tuples) {
+    rows.Clear();
+    CORGI_RETURN_NOT_OK(ReadTuplesFromPages(p, 1, &rows));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows.MaterializeTo(i, &t);
       CORGI_RETURN_NOT_OK(fn(t));
     }
   }
@@ -118,24 +130,22 @@ uint32_t Table::TuplesInPage(uint64_t p) const {
   return Snapshot().TuplesInPage(p);
 }
 
-Status Table::DecodePage(const Page& page, std::vector<Tuple>* out) {
-  std::vector<uint8_t> decompressed;
+Status Table::DecodePage(const Page& page, TupleBatch* out,
+                         std::vector<uint8_t>* scratch) {
   uint64_t decompressed_bytes = 0;
   for (uint16_t s = 0; s < page.num_records(); ++s) {
-    auto [data, len] = page.Record(s);
-    size_t consumed = 0;
+    const uint8_t* data = nullptr;
+    size_t len = 0;
+    std::tie(data, len) = page.Record(s);
     if (options_.compress_tuples) {
-      CORGI_RETURN_NOT_OK(DecompressBytes(data, len, &decompressed));
-      decompressed_bytes += decompressed.size();
-      CORGI_ASSIGN_OR_RETURN(
-          Tuple t,
-          Tuple::Deserialize(decompressed.data(), decompressed.size(),
-                             &consumed));
-      out->push_back(std::move(t));
-    } else {
-      CORGI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(data, len, &consumed));
-      out->push_back(std::move(t));
+      CORGI_RETURN_NOT_OK(DecompressBytes(data, len, scratch));
+      decompressed_bytes += scratch->size();
+      data = scratch->data();
+      len = scratch->size();
     }
+    WireTuple w;
+    CORGI_RETURN_NOT_OK(ParseWireTuple(data, len, &w));
+    out->Append(w);
   }
   if (options_.compress_tuples && clock_ != nullptr) {
     clock_->Advance(TimeCategory::kDecompress,
@@ -146,17 +156,17 @@ Status Table::DecodePage(const Page& page, std::vector<Tuple>* out) {
 }
 
 Status Table::ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
-                                         uint64_t count,
-                                         std::vector<Tuple>* out) {
+                                         uint64_t count, TupleBatch* out) {
   const uint64_t bound = index.tuples_per_page.size();
   if (first + count > bound) {
     return Status::OutOfRange("page range beyond snapshot");
   }
+  std::vector<uint8_t> scratch;
   if (buffer_manager_ == nullptr) {
     std::vector<Page> pages;
     CORGI_RETURN_NOT_OK(file_->ReadPages(first, count, &pages));
     for (const Page& p : pages) {
-      CORGI_RETURN_NOT_OK(DecodePage(p, out));
+      CORGI_RETURN_NOT_OK(DecodePage(p, out, &scratch));
     }
     return Status::OK();
   }
@@ -168,7 +178,7 @@ Status Table::ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
     if (buffer_manager_->Contains(file_.get(), p)) {
       CORGI_ASSIGN_OR_RETURN(std::shared_ptr<const Page> page,
                              buffer_manager_->Fetch(file_.get(), p));
-      CORGI_RETURN_NOT_OK(DecodePage(*page, out));
+      CORGI_RETURN_NOT_OK(DecodePage(*page, out, &scratch));
       ++p;
       continue;
     }
@@ -180,7 +190,7 @@ Status Table::ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
     CORGI_RETURN_NOT_OK(file_->ReadPages(p, run_end - p, &pages));
     for (uint64_t i = 0; i < pages.size(); ++i) {
       auto shared = std::make_shared<const Page>(std::move(pages[i]));
-      CORGI_RETURN_NOT_OK(DecodePage(*shared, out));
+      CORGI_RETURN_NOT_OK(DecodePage(*shared, out, &scratch));
       buffer_manager_->Insert(file_.get(), p + i, std::move(shared));
     }
     p = run_end;
@@ -195,21 +205,22 @@ Result<Tuple> Table::ReadTupleAtBounded(const Index& index, uint64_t idx) {
                              index.page_prefix.end(), idx);
   const auto page_idx =
       static_cast<uint64_t>(std::distance(index.page_prefix.begin(), it)) - 1;
-  std::vector<Tuple> tuples;
+  TupleBatch rows;
+  std::vector<uint8_t> scratch;
   if (buffer_manager_ != nullptr) {
     CORGI_ASSIGN_OR_RETURN(std::shared_ptr<const Page> page,
                            buffer_manager_->Fetch(file_.get(), page_idx));
-    CORGI_RETURN_NOT_OK(DecodePage(*page, &tuples));
+    CORGI_RETURN_NOT_OK(DecodePage(*page, &rows, &scratch));
   } else {
     Page page(file_->page_size());
     CORGI_RETURN_NOT_OK(file_->ReadPage(page_idx, &page));
-    CORGI_RETURN_NOT_OK(DecodePage(page, &tuples));
+    CORGI_RETURN_NOT_OK(DecodePage(page, &rows, &scratch));
   }
   const uint64_t slot = idx - index.page_prefix[page_idx];
-  if (slot >= tuples.size()) {
+  if (slot >= rows.size()) {
     return Status::Corruption("tuple index beyond page contents");
   }
-  return std::move(tuples[slot]);
+  return rows.ToTuple(slot);
 }
 
 Status Table::ReadTuplesFromPages(uint64_t first, uint64_t count,

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/tuple_batch.h"
 #include "storage/buffer_manager.h"
 #include "storage/heapfile.h"
 #include "storage/schema.h"
@@ -58,9 +59,15 @@ class TableSnapshot {
   /// Tuples stored in page `p` (0 past the snapshot bound).
   uint32_t TuplesInPage(uint64_t p) const;
 
-  /// Appends all tuples stored in pages [first, first+count) to *out.
-  /// One contiguous device access; decompression billed if applicable.
-  /// Fails with kOutOfRange past the snapshot's page bound.
+  /// Appends all tuples stored in pages [first, first+count) to *out,
+  /// decoding each record straight into the batch arenas (no per-tuple
+  /// allocation once *out has grown). One contiguous device access;
+  /// decompression billed if applicable. Fails with kOutOfRange past the
+  /// snapshot's page bound; on any error *out keeps the rows decoded
+  /// before it.
+  Status ReadTuplesFromPages(uint64_t first, uint64_t count,
+                             TupleBatch* out) const;
+  /// Same read through the same decoder, materialized as Tuples.
   Status ReadTuplesFromPages(uint64_t first, uint64_t count,
                              std::vector<Tuple>* out) const;
 
@@ -163,10 +170,13 @@ class Table {
   static std::shared_ptr<const Index> BuildIndex(
       std::vector<uint32_t> tuples_per_page);
 
-  Status DecodePage(const Page& page, std::vector<Tuple>* out);
+  /// The one page decoder: appends every record of `page` to *out.
+  /// `scratch` holds a decompressed record and is reused across calls.
+  Status DecodePage(const Page& page, TupleBatch* out,
+                    std::vector<uint8_t>* scratch);
   /// Snapshot-bounded read body shared by Table and TableSnapshot.
   Status ReadTuplesFromPagesBounded(const Index& index, uint64_t first,
-                                    uint64_t count, std::vector<Tuple>* out);
+                                    uint64_t count, TupleBatch* out);
   Result<Tuple> ReadTupleAtBounded(const Index& index, uint64_t idx);
 
   Schema schema_;

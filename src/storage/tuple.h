@@ -35,7 +35,8 @@ struct Tuple {
   size_t SerializedSize() const;
   /// Appends the wire form to *out.
   void SerializeTo(std::vector<uint8_t>* out) const;
-  /// Parses one tuple starting at data; sets *consumed to the bytes used.
+  /// Parses one tuple starting at data (through ParseWireTuple); sets
+  /// *consumed to the bytes used.
   static Result<Tuple> Deserialize(const uint8_t* data, size_t size,
                                    size_t* consumed);
 
@@ -44,6 +45,26 @@ struct Tuple {
            feature_values == o.feature_values;
   }
 };
+
+/// One serialized tuple located in a byte buffer: header parsed, extents
+/// checked. `keys` and `values` point at the raw nnz-element u32/f32 arrays
+/// inside that buffer, which are generally unaligned (records sit at
+/// arbitrary page offsets), so they are copied out with memcpy, never
+/// dereferenced as typed pointers. `keys` is nullptr when the tuple reads
+/// as dense (sparse flag clear, or nnz == 0).
+struct WireTuple {
+  uint64_t id = 0;
+  double label = 0.0;
+  uint32_t nnz = 0;
+  const uint8_t* keys = nullptr;
+  const uint8_t* values = nullptr;
+  size_t size = 0;  // bytes the tuple occupies in the buffer
+};
+
+/// The one parser of the wire format above: locates the tuple starting at
+/// data[0, size) or returns kCorruption naming the truncated part. Both
+/// Tuple::Deserialize and TupleBatch::Append(WireTuple) read through it.
+Status ParseWireTuple(const uint8_t* data, size_t size, WireTuple* out);
 
 /// Non-owning view of one training example: a Tuple, or one row of a
 /// TupleBatch (TupleBatch::row). `keys` is nullptr for a dense row, whose

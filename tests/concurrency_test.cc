@@ -1,17 +1,24 @@
 // Unit tests for the supervised-execution primitives: CancellationToken,
-// Deadline, Channel, and ThreadPool::ParallelFor's error/cancellation
-// semantics.
+// Deadline, Channel, ThreadPool::ParallelFor's error/cancellation
+// semantics, and TupleShuffleOp's recycled double-buffer staging.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dataset/catalog.h"
+#include "dataset/loader.h"
+#include "db/block_shuffle_op.h"
+#include "db/tuple_shuffle_op.h"
 #include "iosim/sim_clock.h"
 #include "util/cancellation.h"
 #include "util/channel.h"
+#include "util/rng.h"
 #include "util/status.h"
 #include "util/threadpool.h"
 
@@ -325,6 +332,101 @@ TEST(ParallelForTest, SubmitPreservesReturnValue) {
   auto fut_status = pool.Submit([] { return Status::NotFound("gone"); });
   EXPECT_EQ(fut_int.get(), 42);
   EXPECT_TRUE(fut_status.get().IsNotFound());
+}
+
+// ---------------------------------------------------------------------------
+// TupleShuffleOp staging-arena recycling
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kShuffleSeed = 11;
+constexpr uint64_t kBufferTuples = 37;  // deliberately awkward
+
+BlockShuffleOp::Options RecycleBlockOptions() {
+  BlockShuffleOp::Options opts;
+  opts.block_size_bytes = 2 * 2048;
+  opts.seed = kShuffleSeed;
+  return opts;
+}
+
+// Emission order of TupleShuffleOp in `epoch`, rebuilt without it: the
+// child's block-shuffled stream cut into buffers, each served through a
+// Fisher-Yates index permutation drawn from Rng(seed).Fork(epoch).
+std::vector<uint64_t> ReferenceEpochOrder(Table* table, uint64_t epoch) {
+  BlockShuffleOp block(table, RecycleBlockOptions());
+  EXPECT_TRUE(block.Init().ok());
+  EXPECT_TRUE(block.SkipEpochs(epoch).ok());
+  std::vector<uint64_t> ids;
+  while (const Tuple* t = block.Next()) ids.push_back(t->id);
+  Rng epoch_rng = Rng(kShuffleSeed).Fork(epoch);
+  std::vector<uint64_t> order;
+  for (size_t start = 0; start < ids.size(); start += kBufferTuples) {
+    std::vector<uint32_t> perm(
+        std::min<size_t>(kBufferTuples, ids.size() - start));
+    std::iota(perm.begin(), perm.end(), 0u);
+    epoch_rng.Shuffle(perm);
+    for (uint32_t p : perm) order.push_back(ids[start + p]);
+  }
+  return order;
+}
+
+// Drains (or, with `limit`, partly drains) the current epoch through
+// NextBatch, checking the spare-arena bound after every call.
+std::vector<uint64_t> DrainEpoch(TupleShuffleOp* op, size_t limit = SIZE_MAX) {
+  std::vector<uint64_t> order;
+  TupleBatch out(16);
+  while (order.size() < limit && op->NextBatch(&out)) {
+    for (size_t i = 0; i < out.size(); ++i) order.push_back(out.id(i));
+    EXPECT_LE(op->spare_batches(), TupleShuffleOp::kMaxSpareBatches);
+  }
+  EXPECT_TRUE(op->status().ok()) << op->status().ToString();
+  return order;
+}
+
+TEST(TupleShuffleRecycleTest, OrderHoldsAcrossRescanSkipAndEarlyClose) {
+  auto spec = CatalogLookup("susy", 0.02);
+  ASSERT_TRUE(spec.ok());
+  Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
+  auto made = MaterializeTrainTable(
+      ds, testing::TempDir() + "tso_recycle.tbl", 2048);
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<Table> table = std::move(made).ValueOrDie();
+
+  for (const bool double_buffer : {true, false}) {
+    SCOPED_TRACE(double_buffer ? "double buffered" : "single buffered");
+    BlockShuffleOp block(table.get(), RecycleBlockOptions());
+    TupleShuffleOp::Options topts;
+    topts.buffer_tuples = kBufferTuples;
+    topts.double_buffer = double_buffer;
+    topts.seed = kShuffleSeed;
+    TupleShuffleOp op(&block, topts);
+    ASSERT_TRUE(op.Init().ok());
+
+    EXPECT_EQ(DrainEpoch(&op), ReferenceEpochOrder(table.get(), 0));
+    EXPECT_GE(op.spare_batches(), 1u);  // drained arenas came back
+    ASSERT_TRUE(op.ReScan().ok());
+    // Abandon epoch 1 mid-stream; epoch 2 must start clean on the
+    // recycled arenas.
+    const auto partial = DrainEpoch(&op, 100);
+    const auto epoch1 = ReferenceEpochOrder(table.get(), 1);
+    ASSERT_GE(partial.size(), 100u);
+    EXPECT_TRUE(std::equal(partial.begin(), partial.end(), epoch1.begin()));
+    ASSERT_TRUE(op.ReScan().ok());
+    EXPECT_EQ(DrainEpoch(&op), ReferenceEpochOrder(table.get(), 2));
+    // Jump from epoch 2 to epoch 5 after a partial drain.
+    DrainEpoch(&op, 50);
+    ASSERT_TRUE(op.SkipEpochs(3).ok());
+    EXPECT_EQ(DrainEpoch(&op), ReferenceEpochOrder(table.get(), 5));
+    ASSERT_TRUE(op.ReScan().ok());
+    // Per-tuple pulls share the recycled batches.
+    std::vector<uint64_t> per_tuple;
+    while (const Tuple* t = op.Next()) per_tuple.push_back(t->id);
+    EXPECT_EQ(per_tuple, ReferenceEpochOrder(table.get(), 6));
+    ASSERT_TRUE(op.ReScan().ok());
+    DrainEpoch(&op, 20);
+    op.Close();  // early close with the producer mid-epoch
+    EXPECT_EQ(op.spare_batches(), 0u);
+    op.Close();
+  }
 }
 
 }  // namespace

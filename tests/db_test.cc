@@ -17,6 +17,7 @@
 #include "dataset/catalog.h"
 #include "dataset/libsvm.h"
 #include "dataset/loader.h"
+#include "iosim/fault_injector.h"
 #include "ml/linear_models.h"
 
 namespace corgipile {
@@ -170,6 +171,65 @@ TEST(BlockShuffleOpTest, SequentialModeIsStorageOrder) {
     EXPECT_EQ(t->id, expect++);
   }
   EXPECT_EQ(expect, f.ds.train->size());
+}
+
+// BlockShuffleOp decodes each block into a TupleBatch. The Tuple-vector
+// read of the same blocks (SnapshotBlockSource) must fail on exactly the
+// same blocks, so the operator's quarantine counts are the ones per-block
+// vector reads predict, and it emits exactly the readable blocks' rows.
+TEST(BlockShuffleOpTest, QuarantineMatchesTupleReadOfEachBlock) {
+  TableFixture f("susy", DataOrder::kClustered, 0.05, "bso_quarantine");
+  FaultConfig cfg;
+  cfg.seed = 77;
+  cfg.bit_flip_rate = 0.05;
+  FaultInjector inj(cfg);
+  f.table->SetFaultInjection(&inj);
+  const uint64_t block_bytes = 4 * 2048;
+
+  SnapshotBlockSource source(ShardedSnapshot({f.table->Snapshot()}),
+                             block_bytes);
+  uint64_t bad_blocks = 0;
+  uint64_t lost = 0;
+  std::set<uint64_t> readable;
+  for (uint32_t b = 0; b < source.num_blocks(); ++b) {
+    std::vector<Tuple> rows;
+    const Status st = source.ReadBlock(b, &rows);
+    if (!st.ok()) {
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      ++bad_blocks;
+      lost += source.TuplesInBlock(b);
+      continue;
+    }
+    for (const Tuple& t : rows) readable.insert(t.id);
+  }
+  ASSERT_GT(bad_blocks, 0u);
+  ASSERT_LT(bad_blocks, source.num_blocks());
+
+  BlockShuffleOp::Options opts;
+  opts.block_size_bytes = block_bytes;
+  opts.seed = 3;
+  opts.tolerance.quarantine_corrupt_blocks = true;
+  opts.tolerance.max_bad_block_fraction = 1.0;
+  BlockShuffleOp op(f.table.get(), opts);
+  ASSERT_TRUE(op.Init().ok());
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    TupleBatch batch(100);
+    std::set<uint64_t> seen;
+    uint64_t emitted = 0;
+    while (op.NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) seen.insert(batch.id(i));
+      emitted += batch.size();
+    }
+    ASSERT_TRUE(op.status().ok()) << op.status().ToString();
+    EXPECT_EQ(seen, readable);
+    EXPECT_EQ(emitted, readable.size());
+    // Counters are cumulative across epochs.
+    EXPECT_EQ(op.QuarantinedBlocks(), bad_blocks * epoch);
+    EXPECT_EQ(op.SkippedTuples(), lost * epoch);
+    ASSERT_TRUE(op.ReScan().ok());
+  }
+  op.Close();
+  f.table->SetFaultInjection(nullptr);
 }
 
 class TupleShuffleModeTest : public ::testing::TestWithParam<bool> {};
