@@ -1,8 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): per-tuple SGD step throughput
 // for each model family (dense and sparse), the batched SGD entry point
-// over a TupleBatch, tuple serialization, the TOAST codec, and the RNG
-// primitives the shuffles lean on. These are the constants behind every
-// "compute" number in the experiment benches.
+// over a TupleBatch, tuple serialization, the TOAST codec, the page
+// checksum, page decoding, and the RNG primitives the shuffles lean on.
+// These are the constants behind every "compute" number in the experiment
+// benches.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +16,10 @@
 #include "exec/tuple_batch.h"
 #include "ml/linear_models.h"
 #include "ml/mlp.h"
+#include "storage/buffer_manager.h"
 #include "storage/compression.h"
+#include "storage/table.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace corgipile {
@@ -172,6 +176,63 @@ void BM_ToastDecompress(benchmark::State& state) {
                           static_cast<int64_t>(input.size()));
 }
 BENCHMARK(BM_ToastDecompress);
+
+// CRC32C over one 8 KiB page: hw=1 is the runtime-dispatched path every
+// page read and AppendPage take (SSE4.2 where the CPU has it), hw=0 the
+// portable slice-by-4 table.
+void BM_Crc32cPage(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<uint8_t> page(8192);
+  for (auto& b : page) b = static_cast<uint8_t>(rng.Uniform(256));
+  const bool dispatched = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dispatched ? Crc32c(page.data(), page.size())
+                   : Crc32cExtendPortable(0, page.data(), page.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_Crc32cPage)->Arg(0)->Arg(1)->ArgName("hw");
+
+// Decodes page 0 of a one-table heap file into a reused TupleBatch, the
+// way BlockShuffleOp loads a block. The page sits in the buffer pool, so
+// this is decompression + wire parsing + arena copies, no I/O.
+// shape=0: criteo-like (39 of 10k sparse dims, compressed, as train_cold
+// stores it); shape=1: susy-like (18 dense dims, uncompressed).
+void BM_DecodePage(benchmark::State& state) {
+  const bool criteo = state.range(0) == 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (criteo ? "bm_decode_criteo.tbl" : "bm_decode_susy.tbl"))
+          .string();
+  Schema schema{"t", criteo ? 10000u : 18u, criteo, LabelType::kBinary, 2};
+  TableBuilder builder(schema, path, TableOptions{8192, criteo});
+  for (uint64_t i = 0; i < 200; ++i) {
+    Tuple t = criteo ? SparseTuple(10000, 39, i) : DenseTuple(18, i);
+    t.id = i;
+    if (!builder.Append(t).ok()) state.SkipWithError("append failed");
+  }
+  auto table = builder.Finish();
+  if (!table.ok()) {
+    state.SkipWithError("table build failed");
+    return;
+  }
+  BufferManager pool(1 << 20);
+  (*table)->SetBufferManager(&pool);
+  const TableSnapshot snap = (*table)->Snapshot();
+  TupleBatch batch;
+  for (auto _ : state) {
+    batch.Clear();
+    benchmark::DoNotOptimize(snap.ReadTuplesFromPages(0, 1, &batch).ok());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(batch.size()));
+  state.counters["rows_per_page"] = static_cast<double>(batch.size());
+  table->reset();
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_DecodePage)->Arg(0)->Arg(1)->ArgName("shape");
 
 void BM_RngPermutation(benchmark::State& state) {
   Rng rng(7);
