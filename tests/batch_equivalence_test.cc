@@ -2,7 +2,9 @@
 // §9): the batched transport (NextBatch / Batch* kernels) must emit the
 // same tuples in the same order, and produce bit-identical training
 // results, as the per-tuple reference path — for every shuffle strategy,
-// seed, and transport batch size.
+// seed, and transport batch size. The per-tuple path's emission orders,
+// epoch losses, final parameters and quarantine counts are also pinned as
+// golden hashes, so the batched path stays checked against them on its own.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "ml/trainer.h"
 #include "shuffle/tuple_stream.h"
 #include "storage/block_source.h"
+#include "storage/table.h"
 
 namespace corgipile {
 namespace {
@@ -48,6 +51,53 @@ std::shared_ptr<std::vector<Tuple>> ToyData(size_t n, bool dense) {
     }
   }
   return tuples;
+}
+
+uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+uint64_t HashParams(const std::vector<double>& params) {
+  return Fnv1a(params.data(), params.size() * sizeof(double), kFnvOffset);
+}
+
+uint64_t HashLosses(const TrainResult& r) {
+  uint64_t h = kFnvOffset;
+  for (const EpochLog& e : r.epochs) {
+    h = Fnv1a(&e.train_loss, sizeof(e.train_loss), h);
+  }
+  return h;
+}
+
+// FNV-1a over an emitted tuple sequence: each tuple's id, label bits, key
+// and value counts, keys and values, in emission order. Pins an order (and
+// every byte it carries) exactly.
+uint64_t HashOrder(const std::vector<Tuple>& tuples) {
+  uint64_t h = kFnvOffset;
+  for (const Tuple& t : tuples) {
+    const uint64_t counts[2] = {t.feature_keys.size(), t.feature_values.size()};
+    h = Fnv1a(&t.id, sizeof(t.id), h);
+    h = Fnv1a(&t.label, sizeof(t.label), h);
+    h = Fnv1a(counts, sizeof(counts), h);
+    h = Fnv1a(t.feature_keys.data(), t.feature_keys.size() * sizeof(uint32_t),
+              h);
+    h = Fnv1a(t.feature_values.data(),
+              t.feature_values.size() * sizeof(float), h);
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v << "ull";
+  return os.str();
 }
 
 Schema ToySchema(bool dense) {
@@ -81,6 +131,90 @@ constexpr ShuffleStrategy kAllStrategies[] = {
     ShuffleStrategy::kMrs,           ShuffleStrategy::kBlockOnly,
     ShuffleStrategy::kCorgiPile};
 
+constexpr uint64_t kSeeds[] = {1u, 42u, 20260805u};
+
+size_t IndexOf(ShuffleStrategy s) {
+  return static_cast<size_t>(std::find(std::begin(kAllStrategies),
+                                       std::end(kAllStrategies), s) -
+                             std::begin(kAllStrategies));
+}
+
+size_t IndexOf(uint64_t seed) {
+  return static_cast<size_t>(std::find(std::begin(kSeeds), std::end(kSeeds),
+                                       seed) -
+                             std::begin(kSeeds));
+}
+
+// Golden emission orders: HashOrder of each epoch's tuple sequence,
+// recorded from the per-tuple Next() path. Indexed
+// [strategy, kAllStrategies order][seed, kSeeds order][dense, sparse]
+// [epoch 0, 1].
+constexpr uint64_t kOrderGoldens[7][3][2][2] = {
+    // no_shuffle
+    {
+      {{0x68a59a8facc6260full, 0x68a59a8facc6260full},
+       {0xbf2633c3282dc751ull, 0xbf2633c3282dc751ull}},
+      {{0x68a59a8facc6260full, 0x68a59a8facc6260full},
+       {0xbf2633c3282dc751ull, 0xbf2633c3282dc751ull}},
+      {{0x68a59a8facc6260full, 0x68a59a8facc6260full},
+       {0xbf2633c3282dc751ull, 0xbf2633c3282dc751ull}},
+    },
+    // shuffle_once
+    {
+      {{0xfcb0666865821327ull, 0xfcb0666865821327ull},
+       {0x3162d0fc4daa47a5ull, 0x3162d0fc4daa47a5ull}},
+      {{0x40ed1ea9534a289full, 0x40ed1ea9534a289full},
+       {0x80ee438b67989889ull, 0x80ee438b67989889ull}},
+      {{0xf8800518f74a5643ull, 0xf8800518f74a5643ull},
+       {0xd44d9fc91c183839ull, 0xd44d9fc91c183839ull}},
+    },
+    // epoch_shuffle
+    {
+      {{0x6ff1d9168710b49bull, 0xc6cdfde151dc9d47ull},
+       {0x249d574ebdd4b3b5ull, 0xd03fd80fa113f3a1ull}},
+      {{0x2c7ed8f502246213ull, 0x2deca1154e253c1full},
+       {0x79a680f50154aa25ull, 0x4cba360a4427c029ull}},
+      {{0x41962f27f117a96full, 0xfa29af349ccbe27ull},
+       {0x8975833ecb79f2bdull, 0xd5390f55fc6f572dull}},
+    },
+    // sliding_window
+    {
+      {{0x8730ffa7a100067bull, 0xb23d06e698079117ull},
+       {0x2947b194aea0430dull, 0x7aa3966bb0c26ba1ull}},
+      {{0xb2bef93b8a14207bull, 0x6e35af75a2ba8a83ull},
+       {0x4c9095794b17b701ull, 0x4483614bbab4c529ull}},
+      {{0x69e67fcede4fcbebull, 0xca313b11a0cb6bcfull},
+       {0xb758a9c26d2d69c1ull, 0x5842d533fff3531ull}},
+    },
+    // mrs
+    {
+      {{0xd47ee790a776026bull, 0x7cde189f2a3cce4full},
+       {0xd7def6c1f67fba3cull, 0x4cbc02ecdac31c28ull}},
+      {{0x20def0ea549c35d9ull, 0xfb93595b5488cef9ull},
+       {0x63f99d81188ee02bull, 0x823dbfdeef4b80c1ull}},
+      {{0x6c67f08fc502b405ull, 0xb885c38c5631e6e4ull},
+       {0x272fb7b63099487full, 0x1465623ed5c52812ull}},
+    },
+    // block_only
+    {
+      {{0x1e2e5adceb687307ull, 0x7d3e09c186303df7ull},
+       {0x8d02cd2f272937f9ull, 0xb695e75a981e740dull}},
+      {{0xc7e3a341e51c957ull, 0x64e2d083c72fa49bull},
+       {0xc21b0c083dfb6841ull, 0x72273ae03674cec9ull}},
+      {{0x635086aafbab4e0bull, 0x60a82581e69f1c07ull},
+       {0x9161ec667fc5bf49ull, 0xbc0ffcf111ab5de1ull}},
+    },
+    // corgipile
+    {
+      {{0xee57b423e12f7513ull, 0xfdf45544be13808bull},
+       {0xdf69a6af3c5d4289ull, 0x392f758f0f319cc1ull}},
+      {{0x37afbb21bb1653e7ull, 0x86a932914e6b30c7ull},
+       {0xea26ebc99726f201ull, 0xee2b85f5288d57b1ull}},
+      {{0xd7aebfb2b5c03283ull, 0x9b51b1be404d90bfull},
+       {0xdc488a5df2b91a89ull, 0xe916bd1a975eecc1ull}},
+    },
+};
+
 class BatchEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<ShuffleStrategy, uint64_t>> {
 };
@@ -107,6 +241,12 @@ TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
     for (uint64_t epoch = 0; epoch < 2; ++epoch) {
       expected.push_back(DrainPerTuple(ref->get(), epoch));
       ASSERT_FALSE(expected.back().empty());
+      EXPECT_EQ(HashOrder(expected.back()),
+                kOrderGoldens[IndexOf(strategy)][IndexOf(seed)][dense ? 0 : 1]
+                             [epoch])
+          << "GOLDEN order " << IndexOf(strategy) << " " << IndexOf(seed)
+          << " " << (dense ? 0 : 1) << " " << epoch << " "
+          << Hex(HashOrder(expected.back()));
     }
 
     for (size_t batch_tuples : {size_t{1}, size_t{7}, size_t{64}, n}) {
@@ -130,11 +270,87 @@ TEST_P(BatchEquivalenceTest, BatchedOrderMatchesPerTuple) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategiesThreeSeeds, BatchEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(kAllStrategies),
-                       ::testing::Values(1u, 42u, 20260805u)),
+                       ::testing::ValuesIn(kSeeds)),
     [](const auto& info) {
       return std::string(ShuffleStrategyToString(std::get<0>(info.param))) +
              "_seed" + std::to_string(std::get<1>(info.param));
     });
+
+// --- Operator pipeline order ----------------------------------------------
+
+// ToyData written to a heap table with small pages, so BlockShuffle sees
+// many blocks and TupleShuffle several staging buffers per epoch.
+std::unique_ptr<Table> ToyTable(bool dense, const std::string& path) {
+  TableOptions options;
+  options.page_size = 512;
+  TableBuilder builder(ToySchema(dense), path, options);
+  const auto tuples = ToyData(500, dense);
+  for (const Tuple& t : *tuples) EXPECT_TRUE(builder.Append(t).ok());
+  auto table = builder.Finish();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? std::move(table).ValueOrDie() : nullptr;
+}
+
+std::vector<Tuple> DrainOpPerTuple(PhysicalOperator* op) {
+  std::vector<Tuple> out;
+  while (const Tuple* t = op->Next()) out.push_back(*t);
+  EXPECT_TRUE(op->status().ok());
+  return out;
+}
+
+// Golden BlockShuffle → TupleShuffle emission orders, recorded from the
+// per-tuple Next() path. Indexed [seed, kSeeds order][dense, sparse]
+// [epoch 0, 1]; single and double buffering must both reproduce them.
+constexpr uint64_t kOperatorOrderGoldens[3][2][2] = {
+    {{0x5d760b6f637e2fafull, 0xf23617d7f45afe17ull},
+     {0x755511b22550d065ull, 0x71e8cf57f0229365ull}},
+    {{0x450891b18c64e237ull, 0x61486431af3348c3ull},
+     {0x623b672d6d109eb9ull, 0x408b3a6943baa9c1ull}},
+    {{0x19ca44057c7bad1bull, 0x4da1742ddb32669bull},
+     {0x35192b11b1da40f1ull, 0x2cd1072c15a9101dull}},
+};
+
+class OperatorOrderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OperatorOrderTest, MatchesGolden) {
+  const uint64_t seed = GetParam();
+  for (bool dense : {true, false}) {
+    auto table = ToyTable(dense, testing::TempDir() + "batch_equiv_order_" +
+                                     std::to_string(seed) + ".tbl");
+    ASSERT_NE(table, nullptr);
+    for (bool double_buffer : {false, true}) {
+      BlockShuffleOp::Options bopts;
+      bopts.block_size_bytes = 2 * 512;
+      bopts.seed = seed;
+      BlockShuffleOp block_op(table.get(), bopts);
+      TupleShuffleOp::Options topts;
+      topts.buffer_tuples = 50;
+      topts.double_buffer = double_buffer;
+      topts.seed = seed;
+      TupleShuffleOp op(&block_op, topts);
+      ASSERT_TRUE(op.Init().ok());
+      for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+        if (epoch > 0) {
+          ASSERT_TRUE(op.ReScan().ok());
+        }
+        const std::vector<Tuple> got = DrainOpPerTuple(&op);
+        EXPECT_EQ(got.size(), 500u);
+        EXPECT_EQ(HashOrder(got),
+                  kOperatorOrderGoldens[IndexOf(seed)][dense ? 0 : 1][epoch])
+            << "GOLDEN oporder " << IndexOf(seed) << " " << (dense ? 0 : 1)
+            << " " << epoch << " " << Hex(HashOrder(got))
+            << " dbuf=" << double_buffer;
+      }
+      op.Close();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreeSeeds, OperatorOrderTest,
+                         ::testing::ValuesIn(kSeeds),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 // --- Training bit-identity -----------------------------------------------
 
@@ -158,16 +374,36 @@ Result<TrainResult> TrainToy(ShuffleStrategy strategy, uint64_t seed,
   return result;
 }
 
+// Training goldens, recorded from the per-tuple Next() path: HashLosses
+// of the epoch losses and HashParams of the final parameters.
+constexpr std::pair<ShuffleStrategy, uint64_t> kToyLossGoldens[] = {
+    {ShuffleStrategy::kCorgiPile, 0x862fb330d01d55cull},
+    {ShuffleStrategy::kSlidingWindow, 0x4953f581cb260a2aull},
+};
+constexpr uint64_t kAdamLossGolden = 0x8d49cc17d2e92fa9ull;
+constexpr uint64_t kSparseParamsGolden = 0x599a4e63d2064f5eull;
+constexpr uint64_t kPipelineLossGolden = 0xe2e6c429dad60f88ull;
+constexpr uint64_t kPipelineParamsGolden = 0xa21d79cc4ee0c3e9ull;
+
+// QuarantineCountsMatch's golden: losses plus the quarantine accounting,
+// in total and per epoch.
+constexpr uint64_t kQuarantineLossGolden = 0x16d17ab412c69907ull;
+constexpr uint64_t kQuarantinedBlocksGolden[3] = {1, 1, 1};
+constexpr uint64_t kSkippedTuplesGolden[3] = {84, 84, 84};
+
 // Epoch losses are compared bit-for-bit (EXPECT_EQ on doubles, not NEAR):
 // the transport batch size must not change a single floating-point op.
 TEST(TrainBatchEquivalenceTest, EpochLossesBitIdenticalAcrossBatchSizes) {
   auto tuples = ToyData(700, /*dense=*/true);
   InMemoryBlockSource src(ToySchema(true), tuples, 41);
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kCorgiPile, ShuffleStrategy::kSlidingWindow}) {
+  for (const auto& [strategy, loss_golden] : kToyLossGoldens) {
     auto legacy = TrainToy(strategy, 42, /*exec=*/0, /*batch=*/1,
                            OptimizerKind::kSgd, &src);
     ASSERT_TRUE(legacy.ok());
+    EXPECT_EQ(HashLosses(*legacy), loss_golden)
+        << "GOLDEN toyloss " << ShuffleStrategyToString(strategy) << " "
+        << Hex(HashLosses(*legacy));
+    for (const EpochLog& e : legacy->epochs) EXPECT_EQ(e.tuples_seen, 700u);
     for (uint32_t exec : {1u, 7u, 256u}) {
       auto batched = TrainToy(strategy, 42, exec, /*batch=*/1,
                               OptimizerKind::kSgd, &src);
@@ -193,6 +429,8 @@ TEST(TrainBatchEquivalenceTest, MiniBatchAdamBitIdentical) {
   auto legacy = TrainToy(ShuffleStrategy::kCorgiPile, 7, /*exec=*/0,
                          /*batch=*/32, OptimizerKind::kAdam, &src);
   ASSERT_TRUE(legacy.ok());
+  EXPECT_EQ(HashLosses(*legacy), kAdamLossGolden)
+      << "GOLDEN adamloss " << Hex(HashLosses(*legacy));
   for (uint32_t exec : {24u, 256u}) {
     auto batched = TrainToy(ShuffleStrategy::kCorgiPile, 7, exec,
                             /*batch=*/32, OptimizerKind::kAdam, &src);
@@ -224,6 +462,8 @@ TEST(TrainBatchEquivalenceTest, FinalParamsBitIdenticalSparse) {
     ASSERT_TRUE(Train(&model, stream->get(), topts).ok());
     params.push_back(model.params());
   }
+  EXPECT_EQ(HashParams(params[0]), kSparseParamsGolden)
+      << "GOLDEN sparseparams " << Hex(HashParams(params[0]));
   EXPECT_EQ(params[1], params[0]);
   EXPECT_EQ(params[2], params[0]);
 }
@@ -263,6 +503,24 @@ TEST(TrainBatchEquivalenceTest, QuarantineCountsMatch) {
   auto legacy = run(0);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   ASSERT_GE(legacy->total_quarantined_blocks, 1u);
+  EXPECT_EQ(HashLosses(*legacy), kQuarantineLossGolden)
+      << "GOLDEN quarloss " << Hex(HashLosses(*legacy));
+  ASSERT_EQ(legacy->epochs.size(), 3u);
+  uint64_t golden_blocks = 0;
+  uint64_t golden_skipped = 0;
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(legacy->epochs[e].quarantined_blocks,
+              kQuarantinedBlocksGolden[e])
+        << "GOLDEN quarblocks " << e << " "
+        << legacy->epochs[e].quarantined_blocks;
+    EXPECT_EQ(legacy->epochs[e].skipped_tuples, kSkippedTuplesGolden[e])
+        << "GOLDEN quarskipped " << e << " "
+        << legacy->epochs[e].skipped_tuples;
+    golden_blocks += kQuarantinedBlocksGolden[e];
+    golden_skipped += kSkippedTuplesGolden[e];
+  }
+  EXPECT_EQ(legacy->total_quarantined_blocks, golden_blocks);
+  EXPECT_EQ(legacy->total_skipped_tuples, golden_skipped);
   auto batched = run(128);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   EXPECT_EQ(batched->total_quarantined_blocks,
@@ -314,6 +572,13 @@ TEST(SgdOpBatchEquivalenceTest, PipelineBitIdentical) {
   std::vector<double> legacy_params;
   const auto legacy = run(0, /*double_buffer=*/false, &legacy_params);
   ASSERT_EQ(legacy.size(), 4u);
+  TrainResult legacy_result;
+  legacy_result.epochs = legacy;
+  EXPECT_EQ(HashLosses(legacy_result), kPipelineLossGolden)
+      << "GOLDEN pipeloss " << Hex(HashLosses(legacy_result));
+  EXPECT_EQ(HashParams(legacy_params), kPipelineParamsGolden)
+      << "GOLDEN pipeparams " << Hex(HashParams(legacy_params));
+  for (const EpochLog& e : legacy) EXPECT_EQ(e.tuples_seen, ds.train->size());
   for (uint32_t exec : {1u, 64u}) {
     for (bool dbuf : {false, true}) {
       std::vector<double> params;
@@ -386,29 +651,6 @@ std::shared_ptr<std::vector<Tuple>> OracleData(size_t n, bool dense,
     }
   }
   return tuples;
-}
-
-uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-
-uint64_t HashParams(const std::vector<double>& params) {
-  return Fnv1a(params.data(), params.size() * sizeof(double), kFnvOffset);
-}
-
-uint64_t HashLosses(const TrainResult& r) {
-  uint64_t h = kFnvOffset;
-  for (const EpochLog& e : r.epochs) {
-    h = Fnv1a(&e.train_loss, sizeof(e.train_loss), h);
-  }
-  return h;
 }
 
 struct OracleCase {
