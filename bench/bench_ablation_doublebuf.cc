@@ -51,13 +51,16 @@ void BM_PipelineEpoch(benchmark::State& state) {
 
   LogisticRegression model(f.ds.spec.dim);
   model.InitParams(1);
+  TupleBatch batch;
   for (auto _ : state) {
     uint64_t n = 0;
-    while (const Tuple* t = op.Next()) {
+    while (op.NextBatch(&batch)) {
       // Compute-heavy consumer: a few SGD steps per tuple so that fills
       // can actually hide behind compute.
-      for (int k = 0; k < 4; ++k) model.SgdStep(*t, 1e-4);
-      ++n;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        for (int k = 0; k < 4; ++k) model.SgdStep(batch.row(i), 1e-4);
+      }
+      n += batch.size();
     }
     benchmark::DoNotOptimize(n);
     if (!op.ReScan().ok()) state.SkipWithError("rescan failed");

@@ -54,11 +54,14 @@ int main(int argc, char** argv) {
     CorgiPileDataset dataset(&src, {ds.train->size() / 10, 42});
     auto model = MakeModelFor(spec, "svm");
     model->InitParams(7);
+    TupleBatch batch;
     WallTimer timer;
     for (uint32_t e = 0; e < epochs; ++e) {
       CORGI_CHECK_OK(dataset.StartEpoch(e, 0, 1));
-      while (const Tuple* tp = dataset.Next()) {
-        model->SgdStep(*tp, 0.005);
+      while (dataset.NextBatch(&batch)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          model->SgdStep(batch.row(i), 0.005);
+        }
       }
     }
     const double pytorch_epoch =
@@ -91,11 +94,14 @@ int main(int argc, char** argv) {
         CorgiPileDataset dataset(&src, dopts);
         auto model = MakeModelFor(spec, "svm");
         model->InitParams(7);
+        TupleBatch batch;
         WallTimer timer;
         for (uint32_t e = 0; e < epochs; ++e) {
           CORGI_CHECK_OK(dataset.StartEpoch(e, 0, 1));
-          while (const Tuple* tp = dataset.Next()) {
-            model->SgdStep(*tp, 0.005);
+          while (dataset.NextBatch(&batch)) {
+            for (size_t i = 0; i < batch.size(); ++i) {
+              model->SgdStep(batch.row(i), 0.005);
+            }
           }
         }
         const double per_epoch = timer.ElapsedSeconds() / epochs;

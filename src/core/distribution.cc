@@ -10,9 +10,12 @@ Result<EmissionTrace> TraceEpoch(TupleStream* stream, uint64_t epoch) {
   if (stream == nullptr) return Status::InvalidArgument("null stream");
   CORGI_RETURN_NOT_OK(stream->StartEpoch(epoch));
   EmissionTrace trace;
-  while (const Tuple* t = stream->Next()) {
-    trace.ids.push_back(t->id);
-    trace.labels.push_back(t->label);
+  TupleBatch batch;
+  while (stream->NextBatch(&batch)) {
+    trace.ids.insert(trace.ids.end(), batch.ids_data(),
+                     batch.ids_data() + batch.size());
+    trace.labels.insert(trace.labels.end(), batch.labels_data(),
+                        batch.labels_data() + batch.size());
   }
   CORGI_RETURN_NOT_OK(stream->status());
   return trace;

@@ -61,13 +61,6 @@ bool CorgiPileDataset::RefillBuffer() {
   return true;
 }
 
-const Tuple* CorgiPileDataset::Next() {
-  if (pos_ >= buffer_.size()) {
-    if (!RefillBuffer()) return nullptr;
-  }
-  return &buffer_[pos_++];
-}
-
 bool CorgiPileDataset::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full()) {

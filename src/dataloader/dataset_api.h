@@ -46,26 +46,17 @@ class InMemoryMapDataset : public MapDataset {
 
 /// Sequential-stream dataset (PyTorch iterable-style). Each worker of a
 /// DataLoader calls StartEpoch with its (worker_id, num_workers) and pulls
-/// its shard.
+/// its shard in batches.
 class IterableDataset {
  public:
   virtual ~IterableDataset() = default;
   virtual Status StartEpoch(uint64_t epoch, uint32_t worker_id,
                             uint32_t num_workers) = 0;
-  /// nullptr = shard exhausted (check status()).
-  virtual const Tuple* Next() = 0;
-  /// Batched pull: clears *out and fills up to out->target_tuples() in
-  /// emission order; true iff at least one tuple was appended. Same
-  /// order contract as BatchStream::NextBatch. Default drains Next().
-  virtual bool NextBatch(TupleBatch* out) {
-    out->Clear();
-    while (!out->full()) {
-      const Tuple* t = Next();
-      if (t == nullptr) break;
-      out->Append(*t);
-    }
-    return !out->empty();
-  }
+  /// Clears *out and fills up to out->target_tuples() in emission order;
+  /// true iff at least one tuple was appended, false once the shard is
+  /// exhausted (check status()). Same order contract as
+  /// BatchStream::NextBatch.
+  virtual bool NextBatch(TupleBatch* out) = 0;
   virtual Status status() const { return Status::OK(); }
 };
 
@@ -93,9 +84,8 @@ class CorgiPileDataset : public IterableDataset {
 
   Status StartEpoch(uint64_t epoch, uint32_t worker_id,
                     uint32_t num_workers) override;
-  const Tuple* Next() override;
-  /// Native batched fill: copies runs of the shuffled per-worker buffer
-  /// straight into the batch arena.
+  /// Copies runs of the shuffled per-worker buffer straight into the batch
+  /// arena.
   bool NextBatch(TupleBatch* out) override;
   Status status() const override { return status_; }
 

@@ -80,7 +80,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
   std::vector<std::unique_ptr<Model>> replicas;  // per-worker compute clones
   std::vector<std::vector<double>> worker_grads(
       P, std::vector<double>(model->num_params(), 0.0));
-  std::vector<std::vector<Tuple>> microbatches(P);
+  std::vector<TupleBatch> microbatches(P);
   std::vector<double> worker_loss(P, 0.0);
   std::vector<WorkerState> workers(P);
 
@@ -107,7 +107,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
     workers[w].status = st;
     if (options.failure_policy == WorkerFailurePolicy::kDropAndRescale) {
       workers[w].active = false;
-      microbatches[w].clear();
+      microbatches[w].Clear();
       result.dropped_workers.push_back(
           DroppedWorker{w, epoch, st.code(), st.message()});
       return Status::OK();
@@ -161,7 +161,7 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
           workers[w].total_sim_seconds += d;
         }
         if (!more.ok()) {
-          microbatches[w].clear();
+          microbatches[w].Clear();
           CORGI_RETURN_NOT_OK(worker_failed(w, epoch, more.status()));
           continue;
         }
@@ -212,12 +212,13 @@ Result<TrainResult> TrainDistributed(Model* model, BlockSource* source,
               return Status::OK();
             }
             replicas[w]->params() = model->params();
-            size_t polled = 0;
-            for (const Tuple& t : microbatches[w]) {
-              if ((++polled & 63u) == 0 && cancel.cancelled()) {
+            const TupleBatch& rows = microbatches[w];
+            for (size_t i = 0; i < rows.size(); ++i) {
+              if (((i + 1) & 63u) == 0 && cancel.cancelled()) {
                 return cancel.status();
               }
-              worker_loss[w] += replicas[w]->AccumulateGrad(t, &grad);
+              worker_loss[w] +=
+                  replicas[w]->AccumulateGrad(rows.row(i), &grad);
             }
             workers[w].heartbeat_steps++;  // liveness report to supervisor
             return Status::OK();
@@ -314,13 +315,13 @@ Result<std::vector<uint64_t>> TraceDistributedOrder(
     CORGI_RETURN_NOT_OK(loaders[w]->StartEpoch(epoch));
   }
   std::vector<uint64_t> order;
-  std::vector<Tuple> batch;
+  TupleBatch batch;
   for (;;) {
     uint64_t got = 0;
     for (uint32_t w = 0; w < P; ++w) {
       CORGI_ASSIGN_OR_RETURN(bool more, loaders[w]->NextBatch(&batch));
       (void)more;
-      for (const Tuple& t : batch) order.push_back(t.id);
+      for (size_t i = 0; i < batch.size(); ++i) order.push_back(batch.id(i));
       got += batch.size();
     }
     if (got == 0) break;

@@ -93,14 +93,6 @@ bool BlockShuffleOp::LoadNextBlock() {
   return false;
 }
 
-const Tuple* BlockShuffleOp::Next() {
-  if (pos_ >= current_block_.size()) {
-    if (!LoadNextBlock()) return nullptr;
-  }
-  current_block_.MaterializeTo(pos_++, &scratch_);
-  return &scratch_;
-}
-
 bool BlockShuffleOp::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full()) {

@@ -48,9 +48,8 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   BlockShuffleOp(Table* table, Options options);
 
   Status Init() override;
-  const Tuple* Next() override;
-  /// Native batched fill: copies whole runs of the decoded block into the
-  /// batch arena, arena to arena.
+  /// Copies whole runs of the decoded block into the batch arena, arena to
+  /// arena.
   bool NextBatch(TupleBatch* out) override;
   Status ReScan() override;
   /// Epoch jump without data reads: the block order of epoch e is a pure
@@ -83,7 +82,6 @@ class BlockShuffleOp : public WithStreamState<PhysicalOperator> {
   /// The decoded block being served; reused across blocks and epochs.
   TupleBatch current_block_;
   size_t pos_ = 0;
-  Tuple scratch_;  // materialization target for the per-tuple Next()
   uint64_t epoch_ = 0;
   bool initialized_ = false;
 };

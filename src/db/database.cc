@@ -278,7 +278,7 @@ Result<ShardedTable*> Database::GetShardedTable(const std::string& name) {
 }
 
 Status Database::ScanForRead(const ShardedSnapshot& snap,
-                             const std::function<Status(const Tuple&)>& fn) {
+                             const std::function<Status(const RowView&)>& fn) {
   ShardScanOptions opts;
   if (serialize_scans()) {
     // Baseline A/B mode: the old global-scan-lock behavior, sequential
@@ -295,8 +295,8 @@ Status Database::ScanForRead(const ShardedSnapshot& snap,
 Status Database::CollectForRead(const ShardedSnapshot& snap,
                                 std::vector<Tuple>* out) {
   out->reserve(out->size() + snap.num_tuples());
-  return ScanForRead(snap, [out](const Tuple& t) {
-    out->push_back(t);
+  return ScanForRead(snap, [out](const RowView& r) {
+    MaterializeRow(r, &out->emplace_back());
     return Status::OK();
   });
 }
@@ -711,8 +711,8 @@ Result<InDbPredictResult> Database::Predict(const PredictStatement& stmt) {
   // Snapshot scan — no global lock. Concurrent TRAIN/INSERT sessions never
   // block this read and never change what it sees.
   bool saw_failure = false;
-  Status scan = ScanForRead(table->Snapshot(), [&](const Tuple& t) -> Status {
-    open.Append(t);
+  Status scan = ScanForRead(table->Snapshot(), [&](const RowView& row) {
+    open.Append(row);
     if (!open.full()) return Status::OK();
     submit();
     while (submitted - folded > kPredictWindow) {
@@ -756,8 +756,8 @@ Result<BinaryReport> Database::EvaluateModel(const EvaluateStatement& stmt) {
   const ShardedSnapshot snap = entry->table->Snapshot();
   BinaryScorer scorer(*model);
   scorer.Reserve(snap.num_tuples());
-  CORGI_RETURN_NOT_OK(ScanForRead(snap, [&scorer](const Tuple& t) {
-    scorer.Add(t);
+  CORGI_RETURN_NOT_OK(ScanForRead(snap, [&scorer](const RowView& row) {
+    scorer.Add(row);
     return Status::OK();
   }));
   return scorer.Finalize();

@@ -196,7 +196,7 @@ class Database {
   /// serialize-scans baseline and using the shared scan pool for
   /// multi-shard snapshots. PREDICT BY and EVALUATE BY read this way.
   Status ScanForRead(const ShardedSnapshot& snap,
-                     const std::function<Status(const Tuple&)>& fn);
+                     const std::function<Status(const RowView&)>& fn);
 
   /// ScanForRead into a tuple vector (the validation gate's holdout
   /// sample needs the whole table).

@@ -1,11 +1,9 @@
-// Volcano-style physical operator interface (paper §6.2), extended with the
-// batched transport of DESIGN.md §9.
+// Volcano-style physical operator interface (paper §6.2), with the batched
+// transport of DESIGN.md §9.
 //
 // Mirrors PostgreSQL's executor protocol: ExecInit → getNext* → ExecReScan
-// (per epoch) → Close. Operators move whole TupleBatches (NextBatch, the
-// hot path); the per-tuple Next() is retained as the golden-reference
-// protocol and for compatibility. As with BatchStream, the two must not be
-// interleaved within one scan.
+// (per epoch) → Close. Operators move whole TupleBatches: NextBatch is the
+// one pull protocol every operator implements.
 
 #pragma once
 
@@ -26,23 +24,22 @@ class PhysicalOperator {
   /// One-time initialization (buffers, model state, ...).
   virtual Status Init() = 0;
 
-  /// Produces the next tuple or nullptr at end-of-scan / on error; after
-  /// nullptr, check status().
-  virtual const Tuple* Next() = 0;
-
   /// Clears *out and fills it with up to out->target_tuples() tuples in
-  /// scan order; returns true iff at least one was appended. The
-  /// concatenation of batches equals the Next() emission order exactly.
-  /// Default drains Next(); operators with block or staged buffers
-  /// override it to fill from their arenas directly.
-  virtual bool NextBatch(TupleBatch* out) {
-    out->Clear();
-    while (!out->full()) {
-      const Tuple* t = Next();
-      if (t == nullptr) break;
-      out->Append(*t);
-    }
-    return !out->empty();
+  /// scan order; returns true iff at least one was appended. After false,
+  /// check status(). The concatenation of an epoch's batches is the same
+  /// tuple sequence at every transport batch size.
+  virtual bool NextBatch(TupleBatch* out) = 0;
+
+  /// One tuple per call, pulled as a one-row NextBatch; nullptr at
+  /// end-of-scan / on error. Nothing in the engine calls it and no engine
+  /// operator overrides it. It stays virtual only because the benchmark's
+  /// span decorator (perfbench/src/timed_operator.h) overrides it and the
+  /// benchmark's self-test pulls rows through it.
+  virtual const Tuple* Next() {
+    row_batch_.set_target_tuples(1);
+    if (!NextBatch(&row_batch_)) return nullptr;
+    row_batch_.MaterializeTo(0, &row_);
+    return &row_;
   }
 
   /// Resets the scan for the next epoch (PostgreSQL's re-scan mechanism):
@@ -70,6 +67,10 @@ class PhysicalOperator {
   /// aggregate their subtree.
   virtual uint64_t QuarantinedBlocks() const { return 0; }
   virtual uint64_t SkippedTuples() const { return 0; }
+
+ private:
+  TupleBatch row_batch_{1};  // Next()'s one-row pull and its tuple
+  Tuple row_;
 };
 
 }  // namespace corgipile

@@ -18,15 +18,16 @@ Status SgdOp::Init() {
   if (options_.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
+  if (options_.exec_batch_tuples == 0) {
+    return Status::InvalidArgument("exec_batch_tuples must be >= 1");
+  }
   if (!options_.checkpoint_path.empty() &&
       options_.checkpoint_every_epochs == 0) {
     return Status::InvalidArgument("checkpoint_every must be >= 1");
   }
   CORGI_RETURN_NOT_OK(child_->Init());
   model_->InitParams(options_.init_seed);
-  batched_ = options_.batch_size > 1 ||
-             options_.optimizer != OptimizerKind::kSgd;
-  if (batched_) {
+  if (options_.batch_size > 1 || options_.optimizer != OptimizerKind::kSgd) {
     opt_ = MakeOptimizer(options_.optimizer);
     opt_->Reset(model_->num_params());
     grad_.assign(model_->num_params(), 0.0);
@@ -97,65 +98,19 @@ Result<bool> SgdOp::NextEpoch(EpochLog* log) {
   const uint64_t quarantined_before = child_->QuarantinedBlocks();
   const uint64_t skipped_before = child_->SkippedTuples();
   WallTimer timer;
-  double loss_sum = 0.0;
-  uint64_t seen = 0;
-
-  uint32_t in_batch = 0;
-  auto flush = [&] {
-    if (in_batch == 0) return;
-    const double inv = 1.0 / static_cast<double>(in_batch);
-    for (double& g : grad_) g *= inv;
-    opt_->Apply(&model_->params(), grad_, lr);
-    std::fill(grad_.begin(), grad_.end(), 0.0);
-    in_batch = 0;
-  };
-  if (options_.exec_batch_tuples == 0) {
-    // Legacy per-tuple pull — the golden reference for the batched path.
-    if (!batched_) {
-      while (const Tuple* t = child_->Next()) {
-        loss_sum += model_->SgdStep(*t, lr);
-        ++seen;
-      }
-    } else {
-      while (const Tuple* t = child_->Next()) {
-        loss_sum += model_->AccumulateGrad(*t, &grad_);
-        ++seen;
-        if (++in_batch == options_.batch_size) flush();
-      }
-      flush();
-    }
-  } else {
-    // Batched pipeline: one child->NextBatch per exec_batch_tuples tuples,
-    // with the optimizer's mini-batch grouping re-chunked across transport
-    // boundaries so the flush cadence matches the legacy loop exactly.
-    exec_batch_.set_target_tuples(options_.exec_batch_tuples);
-    while (child_->NextBatch(&exec_batch_)) {
-      if (!batched_) {
-        model_->BatchGradientStep(exec_batch_, lr, &loss_sum);
-        seen += exec_batch_.size();
-      } else {
-        size_t i = 0;
-        while (i < exec_batch_.size()) {
-          const size_t take = std::min<size_t>(
-              exec_batch_.size() - i, options_.batch_size - in_batch);
-          model_->BatchAccumulateGrad(exec_batch_, i, i + take, &grad_,
-                                      &loss_sum);
-          i += take;
-          seen += take;
-          in_batch += static_cast<uint32_t>(take);
-          if (in_batch == options_.batch_size) flush();
-        }
-      }
-    }
-    if (batched_) flush();
-  }
+  exec_batch_.set_target_tuples(options_.exec_batch_tuples);
+  const EpochSums sums = RunSgdEpoch(
+      model_, opt_.get(), &grad_, options_.batch_size, lr, &exec_batch_,
+      [this](TupleBatch* b) { return child_->NextBatch(b); });
   CORGI_RETURN_NOT_OK(child_->status());
 
   log->epoch = epoch_;
   log->lr = lr;
-  log->tuples_seen = seen;
+  log->tuples_seen = sums.tuples;
   log->epoch_wall_seconds = timer.ElapsedSeconds();
-  log->train_loss = seen > 0 ? loss_sum / static_cast<double>(seen) : 0.0;
+  log->train_loss = sums.tuples > 0
+                        ? sums.loss_sum / static_cast<double>(sums.tuples)
+                        : 0.0;
   log->quarantined_blocks = child_->QuarantinedBlocks() - quarantined_before;
   log->skipped_tuples = child_->SkippedTuples() - skipped_before;
   if (options_.clock != nullptr) {
@@ -170,7 +125,7 @@ Result<bool> SgdOp::NextEpoch(EpochLog* log) {
   log->cumulative_sim_seconds =
       options_.clock != nullptr ? options_.clock->TotalElapsed() : 0.0;
 
-  total_tuples_ += seen;
+  total_tuples_ += sums.tuples;
   best_test_metric_ = std::max(best_test_metric_, log->test_metric);
   ++epoch_;
   // Chaos point: a kill here dies after the epoch's updates but before its

@@ -1,7 +1,8 @@
 // SGD operator (paper §6.2 (3)).
 //
 // Sits on top of the TupleShuffle/BlockShuffle pipeline. Each call to
-// NextEpoch() pulls every tuple of the scan, performs the SGD update(s),
+// NextEpoch() pulls every batch of the scan through RunSgdEpoch (the
+// trainer's epoch loop, ml/trainer.h), performs the SGD update(s),
 // then drives PostgreSQL's re-scan mechanism (child->ReScan()) so the next
 // epoch sees freshly shuffled data. Per-epoch metrics are produced the way
 // the paper's implementation reports loss/accuracy/time after each epoch.
@@ -32,9 +33,9 @@ class SgdOp {
     LabelType label_type = LabelType::kBinary;
     SimClock* clock = nullptr;  ///< compute time charged here
     uint64_t init_seed = 7;
-    /// Transport batch size: tuples pulled per child->NextBatch call.
-    /// Purely a transport knob (seeded results are bit-identical at every
-    /// value); 0 = legacy per-tuple Next() pull, the golden reference.
+    /// Transport batch size: tuples pulled per child->NextBatch call; must
+    /// be >= 1. Purely a transport knob: seeded results are bit-identical
+    /// at every value.
     uint32_t exec_batch_tuples = TupleBatch::kDefaultTargetTuples;
 
     /// Crash safety (DESIGN.md §12): with a non-empty checkpoint_path the
@@ -91,7 +92,6 @@ class SgdOp {
   uint64_t base_skipped_ = 0;
   std::unique_ptr<Optimizer> opt_;
   std::vector<double> grad_;
-  bool batched_ = false;
   bool initialized_ = false;
 };
 

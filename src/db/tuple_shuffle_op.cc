@@ -51,7 +51,7 @@ std::optional<TupleShuffleOp::Batch> TupleShuffleOp::FillBatch() {
   const bool got = child_->NextBatch(&batch.tuples);
   if (batch.tuples.size() < options_.buffer_tuples) {
     // A short (or empty) fill means the child ended its scan; surface its
-    // error, if any, exactly where the per-tuple loop did.
+    // error, if any, with the rows it delivered before failing.
     Status st = child_->status();
     if (!st.ok()) {
       MutexLock lock(status_mu_);
@@ -165,23 +165,6 @@ bool TupleShuffleOp::AdvanceBatch() {
   pos_ = 0;
   have_batch_ = true;
   return true;
-}
-
-const Tuple* TupleShuffleOp::Next() {
-  if (consume_timer_.has_value() && have_batch_) {
-    consume_acc_ += consume_timer_->ElapsedSeconds();
-  }
-  if (!have_batch_ || pos_ >= current_.tuples.size()) {
-    if (!AdvanceBatch()) {
-      consume_timer_.reset();
-      return nullptr;
-    }
-  }
-  const size_t row = current_.perm.empty() ? pos_ : current_.perm[pos_];
-  current_.tuples.MaterializeTo(row, &scratch_);
-  ++pos_;
-  consume_timer_.emplace();
-  return &scratch_;
 }
 
 bool TupleShuffleOp::NextBatch(TupleBatch* out) {

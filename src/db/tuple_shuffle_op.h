@@ -19,8 +19,8 @@
 //    execution would surface it — and an early consumer Close() cancels the
 //    channel, which unblocks and stops the producer without deadlock.
 //
-// Thread-safety / ownership: the operator is single-consumer; Next/ReScan/
-// Close must be called from one thread. The producer thread is the only
+// Thread-safety / ownership: the operator is single-consumer; NextBatch/
+// ReScan/Close must be called from one thread. The producer thread is the only
 // FillBatch caller while it runs (it owns child_ and rng_); ReScan/Close/
 // the destructor cancel + join it before touching any of that state, which
 // is also the synchronization point handing child_/rng_ back to the
@@ -38,7 +38,7 @@
 // The operator also records a PipelineTimeline: per buffer, the fill cost
 // (simulated I/O + decompression read through the child, plus real
 // fill/shuffle CPU) and the consume cost (real time the consumer spent
-// between Next() calls). Benches derive single- and double-buffered epoch
+// between NextBatch() calls). Benches derive single- and double-buffered epoch
 // durations from the same run. The timeline is a *benchmarking* artifact —
 // it never feeds back into shuffling, RNG draws, or training results, so
 // seeded reruns stay bit-identical. All real-time measurement goes through
@@ -79,9 +79,8 @@ class TupleShuffleOp : public PhysicalOperator {
 
   const char* name() const override { return "TupleShuffle"; }
   Status Init() override;
-  const Tuple* Next() override;
-  /// Native batched fill: copies permuted runs of the staging buffer into
-  /// the output arena; one channel op per staging buffer, not per tuple.
+  /// Copies permuted runs of the staging buffer into the output arena; one
+  /// channel op per staging buffer, not per tuple.
   bool NextBatch(TupleBatch* out) override;
   Status ReScan() override;
   /// Epoch jump without data reads: stops the producer, jumps the epoch
@@ -105,8 +104,8 @@ class TupleShuffleOp : public PhysicalOperator {
   static constexpr size_t kMaxSpareBatches = 2;
 
   /// Forwarded from the child. With double buffering these are only stable
-  /// once the producer has drained (end of epoch / after Next() returned
-  /// nullptr), which is when SgdOp reads them.
+  /// once the producer has drained (end of epoch / after NextBatch()
+  /// returned false), which is when SgdOp reads them.
   uint64_t QuarantinedBlocks() const override {
     return child_->QuarantinedBlocks();
   }
@@ -154,7 +153,6 @@ class TupleShuffleOp : public PhysicalOperator {
   // Current batch being served (consumer thread only).
   Batch current_;
   size_t pos_ = 0;  // emission index into current_ (via perm when shuffled)
-  Tuple scratch_;   // materialization target for the per-tuple Next()
   bool have_batch_ = false;
   double consume_acc_ = 0.0;
   /// Restarted at every emission; its elapsed time on the next call is the

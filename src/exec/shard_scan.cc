@@ -10,9 +10,9 @@ namespace corgipile {
 namespace {
 
 /// Per-shard consumer-side cursor. Concurrent mode pipelines bounded
-/// prefetch *tasks* (each reads one preassigned page run, returns its
-/// tuples, and exits); inline mode reads the next non-empty page on the
-/// calling thread. Tasks never block on queue capacity — unlike
+/// prefetch *tasks* (each reads one preassigned page run into a batch,
+/// returns it, and exits); inline mode reads the next non-empty page on
+/// the calling thread. Tasks never block on queue capacity — unlike
 /// long-running channel producers, a prefetch task always terminates —
 /// so the merge cannot deadlock no matter how small the pool is
 /// relative to the shard count.
@@ -22,11 +22,11 @@ struct ShardCursor {
   uint64_t batch_tuples = 256;
   const CancellationToken* token = nullptr;
 
-  std::vector<Tuple> buffer;
+  TupleBatch buffer;
   size_t pos = 0;
   uint64_t next_page = 0;
   /// In-flight prefetch tasks, in page order. At most `prefetch_depth`.
-  std::deque<std::future<Result<std::vector<Tuple>>>> pending;
+  std::deque<std::future<Result<TupleBatch>>> pending;
   size_t prefetch_depth = 1;
   bool done = false;
 
@@ -46,18 +46,18 @@ struct ShardCursor {
       const TableSnapshot* s = shard;
       const CancellationToken* tok = token;
       pending.push_back(
-          pool->Submit([s, first, count, tok]() -> Result<std::vector<Tuple>> {
+          pool->Submit([s, first, count, tok]() -> Result<TupleBatch> {
             if (tok != nullptr && tok->cancelled()) return tok->status();
-            std::vector<Tuple> batch;
+            TupleBatch batch;
             CORGI_RETURN_NOT_OK(s->ReadTuplesFromPages(first, count, &batch));
             return batch;
           }));
     }
   }
 
-  /// Ensures buffer[pos] is valid or marks the cursor done.
+  /// Ensures buffer.row(pos) is valid or marks the cursor done.
   Status Refill() {
-    buffer.clear();
+    buffer.Clear();
     pos = 0;
     if (pool != nullptr) {
       while (buffer.empty()) {
@@ -97,16 +97,10 @@ struct ShardCursor {
 
 Status MergeScanSnapshot(const ShardedSnapshot& snap,
                          const ShardScanOptions& opts,
-                         const std::function<Status(const Tuple&)>& fn) {
+                         const std::function<Status(const RowView&)>& fn) {
   CORGI_INJECT_POINT("shard.scan.begin");
   if (!snap.valid()) return Status::OK();
   const size_t K = snap.num_shards();
-  if (K == 1 && opts.pool == nullptr) {
-    // Fast path: identical page access and billing order to the legacy
-    // unsharded Table::Scan.
-    return snap.shard(0).Scan(fn);
-  }
-
   std::vector<ShardCursor> cursors(K);
   for (size_t s = 0; s < K; ++s) {
     cursors[s].shard = &snap.shard(s);
@@ -140,7 +134,7 @@ Status MergeScanSnapshot(const ShardedSnapshot& snap,
         if (opts.token != nullptr && opts.token->cancelled()) {
           return abort(opts.token->status());
         }
-        Status st = fn(cur.buffer[cur.pos++]);
+        Status st = fn(cur.buffer.row(cur.pos++));
         if (!st.ok()) return abort(std::move(st));
       }
     }
@@ -152,8 +146,8 @@ Status MergeScanSnapshot(const ShardedSnapshot& snap,
 Status CollectSnapshot(const ShardedSnapshot& snap,
                        const ShardScanOptions& opts, std::vector<Tuple>* out) {
   out->reserve(out->size() + snap.num_tuples());
-  return MergeScanSnapshot(snap, opts, [out](const Tuple& t) {
-    out->push_back(t);
+  return MergeScanSnapshot(snap, opts, [out](const RowView& r) {
+    MaterializeRow(r, &out->emplace_back());
     return Status::OK();
   });
 }

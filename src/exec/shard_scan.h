@@ -8,20 +8,24 @@
 // per-shard producers run sequentially or on a thread pool, and identical
 // to the unsharded Table::Scan at K=1.
 //
-// With a ThreadPool attached, each shard pipelines bounded prefetch
-// tasks — every task reads one preassigned page run, returns its tuples,
-// and exits — and the calling thread merges. Because no task ever blocks
+// Rows stay in the TupleBatch arenas the pages decode into: the callback
+// sees a RowView into them, and nothing is materialized per row. With a
+// ThreadPool attached, each shard pipelines bounded prefetch tasks —
+// every task reads one preassigned page run into a batch, returns it, and
+// exits — and the calling thread merges. Because no task ever blocks
 // on queue capacity, the merge is deadlock-free for any pool size (a
 // long-running producer-per-shard design would wedge whenever the pool
 // has fewer threads than the table has shards). Without a pool, shards
-// are read inline on the calling thread, which also keeps SimClock
-// billing order deterministic for single-session runs.
+// are read inline on the calling thread, page by page, which also keeps
+// SimClock billing order deterministic for single-session runs; at K=1
+// that is the page order (and billing) of TableSnapshot::Scan.
 
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "exec/tuple_batch.h"
 #include "storage/sharded_table.h"
 #include "storage/tuple.h"
 #include "util/cancellation.h"
@@ -44,14 +48,16 @@ struct ShardScanOptions {
   const CancellationToken* token = nullptr;
 };
 
-/// Scans `snap` in exact insertion order, invoking `fn` for every tuple on
-/// the calling thread. An error from `fn` (or a cancelled token) stops the
-/// scan, cancels all producers, and is returned.
+/// Scans `snap` in exact insertion order, invoking `fn` for every row on
+/// the calling thread. The view is valid only during the call. An error
+/// from `fn` (or a cancelled token) stops the scan, cancels all
+/// producers, and is returned.
 Status MergeScanSnapshot(const ShardedSnapshot& snap,
                          const ShardScanOptions& opts,
-                         const std::function<Status(const Tuple&)>& fn);
+                         const std::function<Status(const RowView&)>& fn);
 
-/// Convenience: merge-scans `snap` and appends every tuple to *out.
+/// Convenience: merge-scans `snap` and appends every row to *out as a
+/// Tuple (through MaterializeRow).
 Status CollectSnapshot(const ShardedSnapshot& snap,
                        const ShardScanOptions& opts, std::vector<Tuple>* out);
 

@@ -15,8 +15,7 @@
 //
 // Pointer-validity contract: spans returned by values(i)/keys(i) and the
 // row(i) views are valid until the next Append/Clear/Reserve on this batch —
-// i.e. for the consumer, until it requests the next batch. This replaces
-// the per-tuple interfaces' "valid until the next Next()" rule.
+// i.e. for the consumer, until it requests the next batch.
 
 #pragma once
 
@@ -158,21 +157,10 @@ class TupleBatch {
   const double* labels_data() const { return labels_.data(); }
   const uint64_t* ids_data() const { return ids_.data(); }
 
-  /// Copies row i into *out, reusing out's vector capacity, for the
-  /// per-tuple Next() interfaces that hand out a Tuple pointer. Consumers
-  /// that only read a row use row(i).
+  /// Copies row i into *out, reusing out's vector capacity, for callers
+  /// that need an owning Tuple. Consumers that only read a row use row(i).
   void MaterializeTo(size_t i, Tuple* out) const {
-    out->id = ids_[i];
-    out->label = labels_[i];
-    const size_t n = nnz(i);
-    if (sparse(i)) {
-      const uint32_t* k = keys_.data() + key_offsets_[i];
-      out->feature_keys.assign(k, k + n);
-    } else {
-      out->feature_keys.clear();
-    }
-    const float* v = values(i);
-    out->feature_values.assign(v, v + n);
+    MaterializeRow(row(i), out);
   }
 
   Tuple ToTuple(size_t i) const {

@@ -62,9 +62,9 @@ EvalResult EvalAccumulator::Finalize(LabelType label_type) const {
   return r;
 }
 
-void BinaryScorer::Add(const Tuple& t) {
-  const double score = model_.Predict(t);
-  const bool positive = t.label > 0;
+void BinaryScorer::Add(const RowView& r) {
+  const double score = model_.Predict(r);
+  const bool positive = r.label > 0;
   const bool predicted_positive = score >= 0;
   if (positive && predicted_positive) ++report_.tp;
   else if (positive) ++report_.fn;

@@ -66,7 +66,7 @@ struct BinaryReport {
   }
 };
 
-/// Streaming form of EvaluateBinaryDetailed: scores one tuple at a time
+/// Streaming form of EvaluateBinaryDetailed: scores one row at a time
 /// and keeps only (score, label) pairs for the AUC, so a scan can feed it
 /// without materializing the table. Finalize() once, after the last Add.
 class BinaryScorer {
@@ -74,7 +74,7 @@ class BinaryScorer {
   explicit BinaryScorer(const Model& model) : model_(model) {}
 
   void Reserve(size_t n) { scored_.reserve(n); }
-  void Add(const Tuple& t);
+  void Add(const RowView& r);
   BinaryReport Finalize();
 
  private:

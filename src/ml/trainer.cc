@@ -9,6 +9,40 @@
 
 namespace corgipile {
 
+EpochSums RunSgdEpoch(Model* model, Optimizer* opt, std::vector<double>* grad,
+                      uint32_t batch_size, double lr, TupleBatch* batch,
+                      const std::function<bool(TupleBatch*)>& next) {
+  EpochSums sums;
+  uint32_t in_batch = 0;
+  auto flush = [&] {
+    if (in_batch == 0) return;
+    const double inv = 1.0 / static_cast<double>(in_batch);
+    for (double& g : *grad) g *= inv;
+    opt->Apply(&model->params(), *grad, lr);
+    std::fill(grad->begin(), grad->end(), 0.0);
+    in_batch = 0;
+  };
+  while (next(batch)) {
+    if (opt == nullptr) {
+      model->BatchGradientStep(*batch, lr, &sums.loss_sum);
+      sums.tuples += batch->size();
+      continue;
+    }
+    size_t i = 0;
+    while (i < batch->size()) {
+      const size_t take =
+          std::min<size_t>(batch->size() - i, batch_size - in_batch);
+      model->BatchAccumulateGrad(*batch, i, i + take, grad, &sums.loss_sum);
+      i += take;
+      sums.tuples += take;
+      in_batch += static_cast<uint32_t>(take);
+      if (in_batch == batch_size) flush();
+    }
+  }
+  if (opt != nullptr) flush();
+  return sums;
+}
+
 Result<TrainResult> Train(Model* model, TupleStream* stream,
                           const TrainerOptions& options) {
   if (model == nullptr || stream == nullptr) {
@@ -16,6 +50,9 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
   }
   if (options.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
+  }
+  if (options.exec_batch_tuples == 0) {
+    return Status::InvalidArgument("exec_batch_tuples must be >= 1");
   }
   if (!options.checkpoint_path.empty() &&
       options.checkpoint_every_epochs == 0) {
@@ -85,11 +122,11 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
   if (start_epoch > options.epochs) start_epoch = options.epochs;
   result.epochs.reserve(options.epochs - start_epoch);
 
-  // Batched-pipeline transport buffer; the arena is reused across batches
-  // and epochs.
-  TupleBatch exec_batch(options.exec_batch_tuples > 0
-                            ? options.exec_batch_tuples
-                            : TupleBatch::kDefaultTargetTuples);
+  // Transport buffer; the arena is reused across batches and epochs.
+  TupleBatch exec_batch(options.exec_batch_tuples);
+  const std::function<bool(TupleBatch*)> next = [stream](TupleBatch* b) {
+    return stream->NextBatch(b);
+  };
 
   auto save_checkpoint = [&](uint32_t next_epoch) -> Status {
     TrainCheckpoint ckpt;
@@ -115,59 +152,9 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     const uint64_t skipped_before = stream->SkippedTuples();
 
     WallTimer timer;
-    double loss_sum = 0.0;
-    uint64_t seen = 0;
-    uint32_t in_batch = 0;
-    auto flush = [&] {
-      if (in_batch == 0) return;
-      const double inv = 1.0 / static_cast<double>(in_batch);
-      for (double& g : grad) g *= inv;
-      opt->Apply(&model->params(), grad, lr);
-      std::fill(grad.begin(), grad.end(), 0.0);
-      in_batch = 0;
-    };
-    if (options.exec_batch_tuples == 0) {
-      // Legacy per-tuple pull — the golden reference the batched pipeline
-      // is tested against.
-      if (!batched) {
-        while (const Tuple* t = stream->Next()) {
-          loss_sum += model->SgdStep(*t, lr);
-          ++seen;
-        }
-      } else {
-        while (const Tuple* t = stream->Next()) {
-          loss_sum += model->AccumulateGrad(*t, &grad);
-          ++seen;
-          if (++in_batch == options.batch_size) flush();
-        }
-        flush();
-      }
-    } else {
-      // Batched pipeline: one NextBatch per exec_batch_tuples tuples. The
-      // optimizer's mini-batch grouping is re-chunked across transport
-      // batch boundaries so the flush cadence matches the legacy loop
-      // exactly.
-      while (stream->NextBatch(&exec_batch)) {
-        if (!batched) {
-          model->BatchGradientStep(exec_batch, lr, &loss_sum);
-          seen += exec_batch.size();
-        } else {
-          size_t i = 0;
-          while (i < exec_batch.size()) {
-            const size_t take =
-                std::min<size_t>(exec_batch.size() - i,
-                                 options.batch_size - in_batch);
-            model->BatchAccumulateGrad(exec_batch, i, i + take, &grad,
-                                       &loss_sum);
-            i += take;
-            seen += take;
-            in_batch += static_cast<uint32_t>(take);
-            if (in_batch == options.batch_size) flush();
-          }
-        }
-      }
-      if (batched) flush();
-    }
+    const EpochSums sums = RunSgdEpoch(model, opt.get(), &grad,
+                                       options.batch_size, lr, &exec_batch,
+                                       next);
     CORGI_RETURN_NOT_OK(stream->status());
 
     const Model* metrics_model = model;
@@ -186,9 +173,11 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     EpochLog log;
     log.epoch = epoch;
     log.lr = lr;
-    log.tuples_seen = seen;
+    log.tuples_seen = sums.tuples;
     log.epoch_wall_seconds = timer.ElapsedSeconds();
-    log.train_loss = seen > 0 ? loss_sum / static_cast<double>(seen) : 0.0;
+    log.train_loss = sums.tuples > 0
+                         ? sums.loss_sum / static_cast<double>(sums.tuples)
+                         : 0.0;
     log.quarantined_blocks = stream->QuarantinedBlocks() - quarantined_before;
     log.skipped_tuples = stream->SkippedTuples() - skipped_before;
     if (options.clock != nullptr) {
@@ -202,7 +191,7 @@ Result<TrainResult> Train(Model* model, TupleStream* stream,
     }
     log.cumulative_sim_seconds =
         options.clock != nullptr ? options.clock->TotalElapsed() : 0.0;
-    result.total_tuples += seen;
+    result.total_tuples += sums.tuples;
     result.total_quarantined_blocks += log.quarantined_blocks;
     result.total_skipped_tuples += log.skipped_tuples;
     result.best_test_metric = std::max(result.best_test_metric, log.test_metric);

@@ -1,10 +1,12 @@
 // Epoch-driven trainer: runs a Model over a TupleStream with per-tuple SGD
 // or mini-batch SGD/Adam, logging metrics and (simulated + real) time per
-// epoch.
+// epoch. RunSgdEpoch is the one SGD epoch loop; the trainer and the db SGD
+// operator both drive it.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,10 +28,9 @@ struct TrainerOptions {
   /// configured optimizer over dense accumulated gradients.
   uint32_t batch_size = 1;
   /// Transport batch size of the batched execution pipeline — tuples pulled
-  /// per BatchStream::NextBatch call. Purely a transport knob, independent
-  /// of batch_size (the optimizer's mini-batch): seeded results are
-  /// bit-identical at every value. 0 = legacy per-tuple Next() pull, kept
-  /// as the golden reference path for equivalence tests.
+  /// per BatchStream::NextBatch call; must be >= 1. Purely a transport
+  /// knob, independent of batch_size (the optimizer's mini-batch): seeded
+  /// results are bit-identical at every value.
   uint32_t exec_batch_tuples = TupleBatch::kDefaultTargetTuples;
   OptimizerKind optimizer = OptimizerKind::kSgd;
   /// Test tuples evaluated after each epoch (not owned; may be null).
@@ -127,6 +128,23 @@ struct TrainResult {
 
   const EpochLog& back() const { return epochs.back(); }
 };
+
+/// Loss and tuple count of one SGD epoch.
+struct EpochSums {
+  double loss_sum = 0.0;
+  uint64_t tuples = 0;
+};
+
+/// One SGD epoch over the transport batches `next` fills into *batch (the
+/// reused transport buffer), until it returns false. With `opt` null every
+/// row is one SgdStep at `lr`. Otherwise rows accumulate into *grad and
+/// every `batch_size` of them, counted across transport batch boundaries,
+/// become one optimizer step on the mean gradient; a short final group
+/// steps at epoch end. Seeded results therefore do not depend on the
+/// transport batch size. `next` is called once per transport batch.
+EpochSums RunSgdEpoch(Model* model, Optimizer* opt, std::vector<double>* grad,
+                      uint32_t batch_size, double lr, TupleBatch* batch,
+                      const std::function<bool(TupleBatch*)>& next);
 
 /// Trains `model` (initialized with options.init_seed) by driving `stream`
 /// for options.epochs epochs.

@@ -68,13 +68,6 @@ Status ShuffleOnceStream::StartEpoch(uint64_t epoch) {
   return inner_->StartEpoch(epoch);
 }
 
-const Tuple* ShuffleOnceStream::Next() {
-  if (inner_ == nullptr) return nullptr;
-  const Tuple* t = inner_->Next();
-  if (t == nullptr) status_ = inner_->status();
-  return t;
-}
-
 bool ShuffleOnceStream::NextBatch(TupleBatch* out) {
   if (inner_ == nullptr) {
     out->Clear();
@@ -127,11 +120,6 @@ Status EpochShuffleStream::StartEpoch(uint64_t epoch) {
     rng.Shuffle(epoch_data_);
   }
   return Status::OK();
-}
-
-const Tuple* EpochShuffleStream::Next() {
-  if (pos_ >= epoch_data_.size()) return nullptr;
-  return &epoch_data_[pos_++];
 }
 
 bool EpochShuffleStream::NextBatch(TupleBatch* out) {

@@ -49,9 +49,8 @@ class HierarchicalBlockStream : public WithStreamState<TupleStream> {
                           Options options);
 
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
-  /// Native batched fill: drains the shuffled buffer in batch-sized chunks
-  /// (no per-tuple virtual calls on the hot path).
+  /// Drains the shuffled buffer in batch-sized chunks (no per-tuple
+  /// virtual calls on the hot path).
   bool NextBatch(TupleBatch* out) override;
   uint64_t TuplesPerEpoch() const override;
   uint64_t PeakBufferTuples() const override { return peak_buffer_; }

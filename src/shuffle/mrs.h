@@ -28,9 +28,8 @@ class MrsStream : public TupleStream {
 
   const char* name() const override { return "mrs"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
-  /// Native batched fill: runs the multiplexed emission step inline per
-  /// slot, one virtual call per batch.
+  /// Runs the multiplexed emission step inline per slot, one virtual call
+  /// per batch.
   bool NextBatch(TupleBatch* out) override;
   Status status() const override { return status_; }
   uint64_t TuplesPerEpoch() const override;
@@ -38,8 +37,7 @@ class MrsStream : public TupleStream {
 
  private:
   /// One multiplexed emission (loop-buffer replay or reservoir drop) into
-  /// *out; false when the epoch is exhausted. Shared by Next and NextBatch
-  /// so the RNG sequence is identical in both transports.
+  /// *out; false when the epoch is exhausted.
   bool EmitNext(Tuple* out);
   bool PullScanned(Tuple* out);
 
@@ -58,7 +56,7 @@ class MrsStream : public TupleStream {
   std::vector<Tuple> block_buf_;
   size_t block_buf_pos_ = 0;
   uint32_t next_block_ = 0;
-  Tuple current_;
+  Tuple current_;  // the emission being appended to the batch
   uint64_t peak_reservoir_ = 0;
   Status status_;
 };

@@ -62,10 +62,6 @@ bool SlidingWindowStream::EmitNext(Tuple* out) {
   return true;
 }
 
-const Tuple* SlidingWindowStream::Next() {
-  return EmitNext(&current_) ? &current_ : nullptr;
-}
-
 bool SlidingWindowStream::NextBatch(TupleBatch* out) {
   out->Clear();
   while (!out->full() && EmitNext(&current_)) out->Append(current_);

@@ -20,9 +20,8 @@ class SlidingWindowStream : public TupleStream {
 
   const char* name() const override { return "sliding_window"; }
   Status StartEpoch(uint64_t epoch) override;
-  const Tuple* Next() override;
-  /// Native batched fill: runs the window emission step inline per slot,
-  /// one virtual call per batch.
+  /// Runs the window emission step inline per slot, one virtual call per
+  /// batch.
   bool NextBatch(TupleBatch* out) override;
   Status status() const override { return status_; }
   uint64_t TuplesPerEpoch() const override { return source_->num_tuples(); }
@@ -30,8 +29,7 @@ class SlidingWindowStream : public TupleStream {
 
  private:
   /// One window emission (fill → steady state swap → drain) into *out;
-  /// false when the epoch is exhausted. Shared by Next and NextBatch so
-  /// the RNG sequence is identical in both transports.
+  /// false when the epoch is exhausted.
   bool EmitNext(Tuple* out);
   /// Next tuple from the sequential block scan; false when exhausted.
   bool PullScanned(Tuple* out);
@@ -45,7 +43,7 @@ class SlidingWindowStream : public TupleStream {
   std::vector<Tuple> block_buf_;
   size_t block_buf_pos_ = 0;
   uint32_t next_block_ = 0;
-  Tuple current_;
+  Tuple current_;  // the emission being appended to the batch
   uint64_t peak_window_ = 0;
   Status status_;
 };

@@ -10,16 +10,6 @@
 
 namespace corgipile {
 
-bool TupleStream::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (!out->full()) {
-    const Tuple* t = Next();
-    if (t == nullptr) break;
-    out->Append(*t);
-  }
-  return !out->empty();
-}
-
 std::string ResolveScratchDir(const std::string& configured) {
   if (!configured.empty()) return configured;
   std::error_code ec;

@@ -256,15 +256,18 @@ Status HeapFile::ReadPages(uint64_t first, uint64_t count,
   }
   out->clear();
   out->reserve(count);
-  std::vector<uint8_t> buf(static_cast<size_t>(count) * page_size_);
-  CORGI_RETURN_NOT_OK(
-      ReadWithRetry(first * page_size_, buf.data(), buf.size()));
+  // One read of the whole range: fault decisions and the I/O charge are
+  // keyed on it. The buffer is left uninitialized because ReadAttempt
+  // fails unless pread fills every byte; each page then copies its slice
+  // once, into the buffer it adopts.
+  const size_t len = static_cast<size_t>(count) * page_size_;
+  const auto buf = std::make_unique_for_overwrite<uint8_t[]>(len);
+  CORGI_RETURN_NOT_OK(ReadWithRetry(first * page_size_, buf.get(), len));
   ChargeRead(first, count, /*contiguous=*/true);
   for (uint64_t i = 0; i < count; ++i) {
-    std::vector<uint8_t> page_bytes(
-        buf.begin() + static_cast<size_t>(i) * page_size_,
-        buf.begin() + static_cast<size_t>(i + 1) * page_size_);
-    Page page = Page::FromBytes(std::move(page_bytes));
+    const uint8_t* bytes = buf.get() + static_cast<size_t>(i) * page_size_;
+    Page page =
+        Page::FromBytes(std::vector<uint8_t>(bytes, bytes + page_size_));
     CORGI_RETURN_NOT_OK(VerifyPage(page, first + i));
     out->push_back(std::move(page));
   }

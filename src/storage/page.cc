@@ -9,9 +9,7 @@ namespace corgipile {
 Page::Page(uint32_t page_size) : bytes_(page_size, 0) { Clear(); }
 
 Page Page::FromBytes(std::vector<uint8_t> bytes) {
-  Page p(static_cast<uint32_t>(bytes.size()));
-  p.bytes_ = std::move(bytes);
-  return p;
+  return Page(std::move(bytes), Adopt{});
 }
 
 uint16_t Page::ReadU16(uint32_t off) const {

@@ -32,9 +32,10 @@ class Page {
 
   explicit Page(uint32_t page_size = kDefaultSize);
 
-  /// Wraps raw page bytes read from disk (takes ownership by copy/move).
-  /// Does not validate; callers reading untrusted bytes must check
-  /// Validate() (the HeapFile read paths do) before using Record().
+  /// Wraps raw page bytes read from disk, adopting the buffer as is (no
+  /// copy, no initialization). Does not validate; callers reading
+  /// untrusted bytes must check Validate() (the HeapFile read paths do)
+  /// before using Record().
   static Page FromBytes(std::vector<uint8_t> bytes);
 
   uint32_t size() const { return static_cast<uint32_t>(bytes_.size()); }
@@ -77,6 +78,9 @@ class Page {
   void Clear();
 
  private:
+  struct Adopt {};
+  Page(std::vector<uint8_t> bytes, Adopt) : bytes_(std::move(bytes)) {}
+
   uint16_t ReadU16(uint32_t off) const;
   void WriteU16(uint32_t off, uint16_t v);
   uint32_t ReadU32(uint32_t off) const;

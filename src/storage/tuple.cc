@@ -92,6 +92,17 @@ Result<Tuple> Tuple::Deserialize(const uint8_t* data, size_t size,
   return t;
 }
 
+void MaterializeRow(const RowView& r, Tuple* out) {
+  out->id = r.id;
+  out->label = r.label;
+  if (r.sparse()) {
+    out->feature_keys.assign(r.keys, r.keys + r.nnz);
+  } else {
+    out->feature_keys.clear();
+  }
+  out->feature_values.assign(r.values, r.values + r.nnz);
+}
+
 Tuple MakeDenseTuple(uint64_t id, double label, std::vector<float> values) {
   Tuple t;
   t.id = id;

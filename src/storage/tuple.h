@@ -118,6 +118,11 @@ struct RowView {
   }
 };
 
+/// Copies `r` into *out, reusing out's vector capacity: the one RowView →
+/// Tuple materializer (TupleBatch::MaterializeTo and every scan that hands
+/// out Tuples go through it).
+void MaterializeRow(const RowView& r, Tuple* out);
+
 /// Builds a dense tuple.
 Tuple MakeDenseTuple(uint64_t id, double label, std::vector<float> values);
 

@@ -3,9 +3,8 @@
 // Every stage of the pipeline — shuffle streams, db physical operators,
 // dataloader datasets — carries the same three pieces of state: a static
 // name, a sticky Status, and the corrupt-block quarantine counters with
-// their abort-threshold logic. This header implements them once so the
-// batched pipeline and the per-tuple compatibility adapters stop
-// re-implementing it.
+// their abort-threshold logic. This header implements them once so no
+// stage re-implements it.
 
 #pragma once
 

@@ -28,6 +28,8 @@
 #include "serve/inference_engine.h"
 #include "util/rng.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -366,8 +368,7 @@ TEST(ChannelChaosTest, InjectedSendFailureSurfacesCleanlyWithoutHang) {
     topts.double_buffer = true;  // the producer thread owns the sends
     TupleShuffleOp op(&block_op, topts);
     CORGI_RETURN_NOT_OK(op.Init());
-    uint64_t delivered = 0;
-    while (op.Next() != nullptr) ++delivered;
+    const uint64_t delivered = DrainIds(&op).size();
     Status st = op.status();
     op.Close();
     EXPECT_LT(delivered, f.ds.train->size()) << sc.Describe();
@@ -396,8 +397,7 @@ TEST(AllocChaosTest, ShuffleBufferAllocationFailureIsACleanError) {
     topts.double_buffer = false;
     TupleShuffleOp op(&block_op, topts);
     CORGI_RETURN_NOT_OK(op.Init());
-    while (op.Next() != nullptr) {
-    }
+    DrainIds(&op);
     Status st = op.status();
     op.Close();
     return st;
@@ -1035,11 +1035,7 @@ std::vector<Tuple> ShardTuples(uint64_t first_id, uint64_t n) {
 std::vector<Tuple> CollectTable(Database* db, const std::string& name) {
   std::vector<Tuple> out;
   ShardedTable* table = db->GetShardedTable(name).ValueOrDie();
-  Status st = MergeScanSnapshot(table->Snapshot(), ShardScanOptions{},
-                                [&](const Tuple& t) {
-                                  out.push_back(t);
-                                  return Status::OK();
-                                });
+  Status st = CollectSnapshot(table->Snapshot(), ShardScanOptions{}, &out);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return out;
 }
@@ -1124,7 +1120,7 @@ TEST(ShardChaosTest, ScanFaultInjectionSurfacesError) {
   plane->Arm("scan-fail", 5,
              {MakeRule("shard.scan.begin", ChaosAction::kFail, 0)});
   Status st = MergeScanSnapshot(table->Snapshot(), ShardScanOptions{},
-                                [](const Tuple&) { return Status::OK(); });
+                                [](const RowView&) { return Status::OK(); });
   plane->Disarm();
   EXPECT_TRUE(st.IsIoError()) << st.ToString();
   EXPECT_NE(st.ToString().find("scenario=scan-fail"), std::string::npos)
@@ -1132,7 +1128,7 @@ TEST(ShardChaosTest, ScanFaultInjectionSurfacesError) {
 
   // Disarmed, the same scan succeeds.
   EXPECT_TRUE(MergeScanSnapshot(table->Snapshot(), ShardScanOptions{},
-                                [](const Tuple&) { return Status::OK(); })
+                                [](const RowView&) { return Status::OK(); })
                   .ok());
 }
 

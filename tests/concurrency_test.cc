@@ -22,6 +22,8 @@
 #include "util/status.h"
 #include "util/threadpool.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -355,8 +357,7 @@ std::vector<uint64_t> ReferenceEpochOrder(Table* table, uint64_t epoch) {
   BlockShuffleOp block(table, RecycleBlockOptions());
   EXPECT_TRUE(block.Init().ok());
   EXPECT_TRUE(block.SkipEpochs(epoch).ok());
-  std::vector<uint64_t> ids;
-  while (const Tuple* t = block.Next()) ids.push_back(t->id);
+  const std::vector<uint64_t> ids = DrainIds(&block);
   Rng epoch_rng = Rng(kShuffleSeed).Fork(epoch);
   std::vector<uint64_t> order;
   for (size_t start = 0; start < ids.size(); start += kBufferTuples) {
@@ -417,10 +418,8 @@ TEST(TupleShuffleRecycleTest, OrderHoldsAcrossRescanSkipAndEarlyClose) {
     ASSERT_TRUE(op.SkipEpochs(3).ok());
     EXPECT_EQ(DrainEpoch(&op), ReferenceEpochOrder(table.get(), 5));
     ASSERT_TRUE(op.ReScan().ok());
-    // Per-tuple pulls share the recycled batches.
-    std::vector<uint64_t> per_tuple;
-    while (const Tuple* t = op.Next()) per_tuple.push_back(t->id);
-    EXPECT_EQ(per_tuple, ReferenceEpochOrder(table.get(), 6));
+    // One-row pulls share the recycled batches.
+    EXPECT_EQ(DrainIds(&op, 1), ReferenceEpochOrder(table.get(), 6));
     ASSERT_TRUE(op.ReScan().ok());
     DrainEpoch(&op, 20);
     op.Close();  // early close with the producer mid-epoch

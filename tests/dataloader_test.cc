@@ -16,6 +16,8 @@
 #include "shuffle/hierarchical.h"
 #include "util/stats.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -50,7 +52,7 @@ TEST(CorgiPileDatasetTest, ShardsPartitionAllBlocks) {
     for (uint32_t b : ds.assigned_blocks()) {
       EXPECT_TRUE(all_blocks.insert(b).second) << "block assigned twice";
     }
-    while (ds.Next() != nullptr) ++total;
+    total += DrainIds(&ds).size();
     ASSERT_TRUE(ds.status().ok());
   }
   EXPECT_EQ(all_blocks.size(), 20u);
@@ -82,7 +84,7 @@ TEST(DataLoaderTest, BatchesAndDropLast) {
   CorgiPileDataset ds(&src, {105, 3});
   DataLoader loader(&ds, {/*batch_size=*/20, 0, 1, /*drop_last=*/false});
   ASSERT_TRUE(loader.StartEpoch(0).ok());
-  std::vector<Tuple> batch;
+  TupleBatch batch;
   int batches = 0;
   uint64_t total = 0;
   while (loader.NextBatch(&batch).ValueOrDie()) {

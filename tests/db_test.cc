@@ -20,6 +20,8 @@
 #include "iosim/fault_injector.h"
 #include "ml/linear_models.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -139,22 +141,17 @@ TEST(BlockShuffleOpTest, EmitsAllTuplesShuffledByBlock) {
   BlockShuffleOp op(f.table.get(), opts);
   ASSERT_TRUE(op.Init().ok());
 
-  std::set<uint64_t> seen;
-  uint64_t count = 0;
-  while (const Tuple* t = op.Next()) {
-    seen.insert(t->id);
-    ++count;
-  }
+  const std::vector<uint64_t> ids = DrainIds(&op);
+  const std::set<uint64_t> seen(ids.begin(), ids.end());
   ASSERT_TRUE(op.status().ok());
-  EXPECT_EQ(count, f.ds.train->size());
+  EXPECT_EQ(ids.size(), f.ds.train->size());
   EXPECT_EQ(seen.size(), f.ds.train->size());
 
   // ReScan produces a different block order.
-  std::vector<uint64_t> order1, order2;
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) order1.push_back(t->id);
+  const std::vector<uint64_t> order1 = DrainIds(&op);
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) order2.push_back(t->id);
+  const std::vector<uint64_t> order2 = DrainIds(&op);
   EXPECT_EQ(order1.size(), order2.size());
   EXPECT_NE(order1, order2);
   op.Close();
@@ -167,9 +164,7 @@ TEST(BlockShuffleOpTest, SequentialModeIsStorageOrder) {
   BlockShuffleOp op(f.table.get(), opts);
   ASSERT_TRUE(op.Init().ok());
   uint64_t expect = 0;
-  while (const Tuple* t = op.Next()) {
-    EXPECT_EQ(t->id, expect++);
-  }
+  for (uint64_t id : DrainIds(&op)) EXPECT_EQ(id, expect++);
   EXPECT_EQ(expect, f.ds.train->size());
 }
 
@@ -249,12 +244,8 @@ TEST_P(TupleShuffleModeTest, EmitsAllTuplesShuffled) {
   ASSERT_TRUE(op.Init().ok());
 
   for (int epoch = 0; epoch < 3; ++epoch) {
-    std::set<uint64_t> seen;
-    std::vector<uint64_t> order;
-    while (const Tuple* t = op.Next()) {
-      seen.insert(t->id);
-      order.push_back(t->id);
-    }
+    const std::vector<uint64_t> order = DrainIds(&op);
+    const std::set<uint64_t> seen(order.begin(), order.end());
     ASSERT_TRUE(op.status().ok());
     EXPECT_EQ(seen.size(), f.ds.train->size());
     EXPECT_FALSE(std::is_sorted(order.begin(), order.end()));
@@ -310,8 +301,7 @@ TEST(TupleShuffleOpStressTest, ManyEpochsDoubleBuffered) {
   TupleShuffleOp op(&block_op, topts);
   ASSERT_TRUE(op.Init().ok());
   for (int epoch = 0; epoch < 20; ++epoch) {
-    uint64_t n = 0;
-    while (op.Next() != nullptr) ++n;
+    const uint64_t n = DrainIds(&op).size();
     ASSERT_TRUE(op.status().ok());
     ASSERT_EQ(n, f.ds.train->size()) << "epoch " << epoch;
     ASSERT_TRUE(op.ReScan().ok());
@@ -332,7 +322,7 @@ TEST(TupleShuffleOpEarlyCloseTest, CloseMidStreamStopsProducer) {
   topts.double_buffer = true;
   TupleShuffleOp op(&block_op, topts);
   ASSERT_TRUE(op.Init().ok());
-  for (int i = 0; i < 5; ++i) ASSERT_NE(op.Next(), nullptr);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(PullOne(&op));
   op.Close();  // would hang here if the producer were not cancelled
   op.Close();  // idempotent
 }
@@ -348,7 +338,7 @@ TEST(TupleShuffleOpEarlyCloseTest, DestructorMidStreamStopsProducer) {
     topts.double_buffer = true;
     TupleShuffleOp op(&block_op, topts);
     ASSERT_TRUE(op.Init().ok());
-    ASSERT_NE(op.Next(), nullptr);
+    ASSERT_TRUE(PullOne(&op));
     // Destroyed mid-stream without an explicit Close().
   }
 }
@@ -363,10 +353,9 @@ TEST(TupleShuffleOpEarlyCloseTest, ReScanMidStreamRestartsCleanly) {
   topts.double_buffer = true;
   TupleShuffleOp op(&block_op, topts);
   ASSERT_TRUE(op.Init().ok());
-  for (int i = 0; i < 7; ++i) ASSERT_NE(op.Next(), nullptr);
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(PullOne(&op));
   ASSERT_TRUE(op.ReScan().ok());  // abandons the in-flight producer
-  uint64_t n = 0;
-  while (op.Next() != nullptr) ++n;
+  const uint64_t n = DrainIds(&op).size();
   ASSERT_TRUE(op.status().ok());
   EXPECT_EQ(n, f.ds.train->size());  // full fresh epoch after the restart
   op.Close();

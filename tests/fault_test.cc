@@ -29,6 +29,8 @@
 #include "storage/table.h"
 #include "util/status.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -582,8 +584,7 @@ TEST(QuarantineTrainingTest, CorruptionSurfacesInBothBufferModes) {
     f.table->SetFaultInjection(&inj);
 
     ASSERT_TRUE(op.Init().ok());
-    uint64_t delivered = 0;
-    while (op.Next() != nullptr) ++delivered;
+    const uint64_t delivered = DrainIds(&op).size();
     Status st = op.status();
     EXPECT_TRUE(st.IsCorruption()) << st.ToString();
     // Healthy buffers filled before the bad block still reached the

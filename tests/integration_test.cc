@@ -23,6 +23,8 @@
 #include "shuffle/hierarchical.h"
 #include "storage/table_shuffle.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -162,8 +164,7 @@ TEST(EpochShuffleTableTest, BillsRandomReadsEveryEpoch) {
   ASSERT_TRUE(stream.StartEpoch(0).ok());
   const uint64_t rand_after_e0 = io.random_reads;
   EXPECT_GT(rand_after_e0, ds.train->size() / 4);  // per-tuple random pages
-  while (stream.Next() != nullptr) {
-  }
+  DrainIds(&stream);
   ASSERT_TRUE(stream.StartEpoch(1).ok());
   EXPECT_GT(io.random_reads, 3 * rand_after_e0 / 2);  // pays again
 }
@@ -184,8 +185,7 @@ TEST(PipelineTest, TupleShufflePropagatesChildErrors) {
   ASSERT_TRUE(op.Init().ok());
   // Truncate the backing file out from under the operator.
   ASSERT_EQ(::truncate(path.c_str(), Page::kDefaultSize), 0);
-  while (op.Next() != nullptr) {
-  }
+  DrainIds(&op);
   EXPECT_FALSE(op.status().ok());
 }
 
@@ -373,8 +373,7 @@ TEST(ShuffleOnceStreamTest, PeakBufferStaysBlockSized) {
   auto stream = MakeTupleStream(ShuffleStrategy::kShuffleOnce, &src, opts);
   ASSERT_TRUE(stream.ok());
   ASSERT_TRUE((*stream)->StartEpoch(0).ok());
-  while ((*stream)->Next() != nullptr) {
-  }
+  DrainIds(stream->get());
   EXPECT_LE((*stream)->PeakBufferTuples(), 60u);
 }
 
@@ -392,9 +391,7 @@ TEST(MrsLoopRatioTest, HigherRatioEmitsMoreBufferedTuples) {
     auto stream = MakeTupleStream(ShuffleStrategy::kMrs, &src, opts);
     EXPECT_TRUE(stream.ok());
     EXPECT_TRUE((*stream)->StartEpoch(0).ok());
-    uint64_t n = 0;
-    while ((*stream)->Next() != nullptr) ++n;
-    return n;
+    return static_cast<uint64_t>(DrainIds(stream->get()).size());
   };
   const uint64_t r0 = count(0.0);
   const uint64_t r1 = count(1.0);
@@ -419,9 +416,7 @@ TEST(CorgiPileDatasetTogglesTest, UnshuffledModeIsStorageOrder) {
   CorgiPileDataset ds(&src, opts);
   ASSERT_TRUE(ds.StartEpoch(0, 0, 1).ok());
   uint64_t expect = 0;
-  while (const Tuple* t = ds.Next()) {
-    EXPECT_EQ(t->id, expect++);
-  }
+  for (uint64_t id : DrainIds(&ds)) EXPECT_EQ(id, expect++);
   EXPECT_EQ(expect, 300u);
 }
 

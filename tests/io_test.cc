@@ -19,6 +19,8 @@
 #include "ml/serialize.h"
 #include "shuffle/hierarchical.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -203,8 +205,8 @@ TEST(RecordFileTest, WorksWithCorgiPileStream) {
   ASSERT_TRUE(source.ok());
   auto stream = MakeCorgiPileStream(source->get(), ds.train->size() / 10, 3);
   ASSERT_TRUE(stream->StartEpoch(0).ok());
-  std::set<uint64_t> seen;
-  while (const Tuple* t = stream->Next()) seen.insert(t->id);
+  const std::vector<uint64_t> ids = DrainIds(stream.get());
+  const std::set<uint64_t> seen(ids.begin(), ids.end());
   ASSERT_TRUE(stream->status().ok());
   EXPECT_EQ(seen.size(), ds.train->size());
   std::remove(path.c_str());
@@ -302,10 +304,9 @@ TEST(StreamAdapterTest, DrivesEpochsThroughVolcanoProtocol) {
   ASSERT_TRUE(stream.ok());
   StreamAdapterOp op(std::move(*stream), std::move(source));
   ASSERT_TRUE(op.Init().ok());
-  std::vector<uint64_t> e0, e1;
-  while (const Tuple* t = op.Next()) e0.push_back(t->id);
+  const std::vector<uint64_t> e0 = DrainIds(&op);
   ASSERT_TRUE(op.ReScan().ok());
-  while (const Tuple* t = op.Next()) e1.push_back(t->id);
+  const std::vector<uint64_t> e1 = DrainIds(&op);
   ASSERT_TRUE(op.status().ok());
   EXPECT_EQ(e0.size(), 200u);
   EXPECT_EQ(e1.size(), 200u);

@@ -199,7 +199,7 @@ TEST(SessionSnapshotTest, InFlightMergeScanHoldsSnapshotAcrossInsert) {
   auto inserter = db.CreateSession();
   uint64_t seen = 0;
   bool inserted = false;
-  Status st = MergeScanSnapshot(snap, opts, [&](const Tuple&) {
+  Status st = MergeScanSnapshot(snap, opts, [&](const RowView&) {
     if (++seen == n0 / 2 && !inserted) {
       inserted = true;
       Status ins =

@@ -13,6 +13,8 @@
 #include "shuffle/tuple_stream.h"
 #include "util/stats.h"
 
+#include "drain_util.h"
+
 namespace corgipile {
 namespace {
 
@@ -31,8 +33,7 @@ Schema ToySchema() { return Schema{"toy", 1, false, LabelType::kBinary, 2}; }
 // Drains one epoch, returning emitted tuple ids.
 std::vector<uint64_t> DrainEpoch(TupleStream* stream, uint64_t epoch) {
   EXPECT_TRUE(stream->StartEpoch(epoch).ok());
-  std::vector<uint64_t> ids;
-  while (const Tuple* t = stream->Next()) ids.push_back(t->id);
+  std::vector<uint64_t> ids = DrainIds(stream);
   EXPECT_TRUE(stream->status().ok());
   return ids;
 }
