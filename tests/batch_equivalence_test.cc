@@ -527,13 +527,11 @@ TEST(SgdOpBatchEquivalenceTest, PipelineBitIdentical) {
 }
 
 TEST(SgdOpBatchEquivalenceTest, ZeroExecBatchRejected) {
-  auto spec = CatalogLookup("susy", 0.05);
-  Dataset ds = GenerateDataset(*spec, DataOrder::kClustered);
-  auto table = MaterializeTrainTable(
-      ds, testing::TempDir() + "batch_equiv_sgdop_zero.tbl", 2048);
-  ASSERT_TRUE(table.ok());
-  BlockShuffleOp block_op(table->get(), BlockShuffleOp::Options());
-  LogisticRegression model(ds.spec.dim);
+  auto table =
+      ToyTable(/*dense=*/true, testing::TempDir() + "batch_equiv_zero.tbl");
+  ASSERT_NE(table, nullptr);
+  BlockShuffleOp block_op(table.get(), BlockShuffleOp::Options());
+  LogisticRegression model(2);
   SgdOp::Options sopts;
   sopts.exec_batch_tuples = 0;
   SgdOp sgd(&model, &block_op, sopts);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exec/tuple_batch.h"
-#include "storage/tuple.h"
 
 namespace corgipile {
 
@@ -25,20 +24,6 @@ std::vector<uint64_t> DrainIds(
     ids.insert(ids.end(), batch.ids_data(), batch.ids_data() + batch.size());
   }
   return ids;
-}
-
-/// DrainIds, materializing every row.
-template <typename Source>
-std::vector<Tuple> DrainTuples(
-    Source* source, size_t batch_tuples = TupleBatch::kDefaultTargetTuples) {
-  std::vector<Tuple> tuples;
-  TupleBatch batch(batch_tuples);
-  while (source->NextBatch(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      tuples.push_back(batch.ToTuple(i));
-    }
-  }
-  return tuples;
 }
 
 /// Pulls a single row as a one-row batch, to stop partway through an
